@@ -25,8 +25,8 @@
 
 use dyser_bench::serve::{self, JobError, JobRequest, JobResult};
 use dyser_bench::{
-    load_reference, run_experiment, run_fuzz_cli, stats_attribution, time_batch, time_experiments,
-    time_fuzz, timing_json, Scale, EXPERIMENT_IDS,
+    load_reference, run_fuzz_cli, time_batch, time_experiments, time_fuzz, timing_json, Scale,
+    Session, EXPERIMENT_IDS,
 };
 
 /// Default measured repetitions per experiment in `--time` mode (after
@@ -258,11 +258,6 @@ fn main() {
             .ok()
     });
     let serve_url = take_value(&mut args, "--serve", |v| Some(v.to_owned()));
-    if serve_url.is_none() {
-        if let Some(backend) = backend {
-            dyser_core::set_backend_override(Some(backend));
-        }
-    }
     let csv = args.iter().any(|a| a == "--csv");
     let time = args.iter().any(|a| a == "--time");
     let trace_path = args.iter().position(|a| a == "--trace").map(|i| {
@@ -322,7 +317,7 @@ fn main() {
     }
     if time {
         let reference = load_reference("BENCH_repro.json");
-        let timings = time_experiments(&ids, reps);
+        let timings = time_experiments(&ids, reps, backend.unwrap_or_default());
         for t in &timings {
             if t.config_only {
                 println!(
@@ -336,7 +331,7 @@ fn main() {
                 );
             }
         }
-        let batch_mps = time_batch(reps);
+        let batch_mps = time_batch(reps, backend.unwrap_or_default());
         println!("{:>8}  {batch_mps:>8.2} Mcyc/s  (suite as one ragged lockstep batch)", "batch");
         let json = timing_json(&timings, reps, &reference, None, Some(batch_mps));
         let path = timing_path(&ids);
@@ -344,12 +339,13 @@ fn main() {
         println!("wrote {path}");
         return;
     }
-    if trace_path.is_some() {
-        dyser_core::set_trace_capacity(TRACE_EVENTS);
-    }
+    let backend = backend.unwrap_or_default();
+    let session = match trace_path {
+        Some(_) => Session::traced(backend, TRACE_EVENTS),
+        None => Session::new(backend),
+    };
     for id in ids {
-        let table =
-            if id == "stats" { stats_attribution(Scale(1.0)) } else { run_experiment(id) };
+        let table = session.run(id, Scale(1.0));
         if csv {
             println!("{}", table.to_csv());
         } else {
@@ -357,7 +353,7 @@ fn main() {
         }
     }
     if let Some(path) = trace_path {
-        let runs = dyser_core::take_traces();
+        let runs: Vec<_> = session.into_tally().runs.into_iter().filter_map(|r| r.trace).collect();
         let events: usize = runs.iter().map(|r| r.events.len()).sum();
         let json = dyser_trace::chrome_trace_json(&runs);
         write_or_exit(&path, &json);

@@ -1,18 +1,22 @@
 //! The experiments: E1–E10, each regenerating one reconstructed
 //! table/figure of the evaluation (see `DESIGN.md` for the index).
+//!
+//! Every experiment runs inside a [`Session`], which owns what its runs
+//! share: the backend, the trace capacity, the result memo, and the
+//! tally of every simulated run.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use dyser_compiler::LoopShape;
+use dyser_compiler::{LoopShape, Program};
 use dyser_core::{
-    backend_override, default_workers, run_kernel, run_kernels, run_program, speed_stat_totals,
-    trace_capacity, KernelJob, KernelResult, RunConfig,
+    default_workers, parallel_map, run_kernel_traced, run_program_case_legs, run_program_traced,
+    Backend, HarnessError, KernelJob, KernelResult, ProgramCase, RunArtifacts, RunConfig, RunStats,
+    SpeedStats,
 };
 use dyser_energy::EnergyModel;
 use dyser_fabric::{FabricGeometry, FuKind, StructuralStats};
-use dyser_sparc::{CycleBucket, StallCause};
+use dyser_sparc::{CycleAccount, CycleBucket, StallCause};
 use dyser_workloads::{manual, suite, Category, Kernel};
 
 use crate::table::ExpTable;
@@ -38,7 +42,8 @@ impl Scale {
     }
 }
 
-/// Runs one experiment by id at full size.
+/// Runs one experiment by id at full size in a fresh interpreted
+/// [`Session`].
 ///
 /// # Panics
 ///
@@ -48,84 +53,254 @@ pub fn run_experiment(id: &str) -> ExpTable {
     run_experiment_scaled(id, Scale(1.0))
 }
 
-/// Runs one experiment at a given size scale.
+/// Runs one experiment at a given size scale in a fresh interpreted
+/// [`Session`].
 ///
 /// # Panics
 ///
 /// Panics on unknown ids or verification failures.
 pub fn run_experiment_scaled(id: &str, scale: Scale) -> ExpTable {
-    match id {
-        "e1" => e1_fabric_resources(),
-        "e2" => e2_micro_speedup(scale),
-        "e3" => e3_suite_speedup(scale),
-        "e4" => e4_manual_vs_compiler(scale),
-        "e5" => e5_instruction_reduction(scale),
-        "e6" => e6_energy(scale),
-        "e7" => e7_config_overhead(scale),
-        "e8" => e8_control_flow_shapes(scale),
-        "e9" => e9_fabric_sweep(scale),
-        "e10" => e10_integration_overhead(scale),
-        "p1" | "p2" | "p3" => program_experiment(id, scale),
-        "ablation" => ablation(scale),
-        other => panic!("unknown experiment `{other}`"),
+    Session::default().run(id, scale)
+}
+
+/// `repro stats` (the cycle attribution of every suite kernel, with the
+/// sweep's own issue-path cache and memo counts) in a fresh interpreted
+/// [`Session`].
+///
+/// # Panics
+///
+/// Panics on verification or attribution failures.
+pub fn stats_attribution(scale: Scale) -> ExpTable {
+    Session::default().run("stats", scale)
+}
+
+/// Kernel results reused across experiments. Several tables re-simulate
+/// the same (kernel, size, config) job — e3/e5/e6 each sweep the full
+/// suite identically — so a memo lets them pay for each distinct
+/// simulation once. The key is the kernel, n and the `RunConfig`'s
+/// `Debug` form (backend included); the experiments are deterministic,
+/// so a replay is bit-identical to a re-run.
+pub type ResultMemo = Mutex<HashMap<String, KernelResult>>;
+
+/// What a session's runs produced.
+#[derive(Debug, Clone, Default)]
+pub struct Tally {
+    /// Every simulated run, in a deterministic order (a memo replay
+    /// simulates nothing and adds none).
+    pub runs: Vec<RunArtifacts>,
+    /// Result-memo lookups answered from the memo.
+    pub memo_hits: u64,
+    /// Result-memo lookups that had to simulate.
+    pub memo_misses: u64,
+}
+
+impl Tally {
+    /// Simulated cycles over every run.
+    #[must_use]
+    pub fn sim_cycles(&self) -> u64 {
+        self.runs.iter().map(|r| r.stats.cycles).sum()
+    }
+
+    /// The cycle attribution of every run, summed.
+    #[must_use]
+    pub fn account(&self) -> CycleAccount {
+        let mut account = CycleAccount::default();
+        for run in &self.runs {
+            account.merge(&run.stats.cycle_account());
+        }
+        account
+    }
+
+    /// The issue-path cache counters of every run, summed.
+    #[must_use]
+    pub fn speed(&self) -> SpeedStats {
+        let mut speed = SpeedStats::default();
+        for run in &self.runs {
+            speed.merge(&run.speed);
+        }
+        speed
     }
 }
 
-/// Memoized per-kernel simulation results, shared by every experiment in
-/// one process. Several tables re-simulate the same (kernel, size,
-/// config) job — e3/e5/e6 each sweep the full suite identically — so one
-/// `repro all` invocation pays for each distinct simulation once and the
-/// later tables replay the cached [`KernelResult`]. The experiments are
-/// deterministic, so a replay is bit-identical to a re-run.
-static RESULT_MEMO: OnceLock<Mutex<HashMap<String, KernelResult>>> = OnceLock::new();
-static RESULT_HITS: AtomicU64 = AtomicU64::new(0);
-static RESULT_MISSES: AtomicU64 = AtomicU64::new(0);
-
-fn result_memo() -> &'static Mutex<HashMap<String, KernelResult>> {
-    RESULT_MEMO.get_or_init(|| Mutex::new(HashMap::new()))
+/// The context experiments run in. It applies one backend to every
+/// `RunConfig` an experiment builds, traces every run when asked to,
+/// owns (or shares) the result memo, and tallies every simulated run.
+#[derive(Debug)]
+pub struct Session {
+    backend: Backend,
+    trace_capacity: usize,
+    memo: Option<Arc<ResultMemo>>,
+    tally: Mutex<Tally>,
 }
 
-/// The memo key: everything that can change a run's outcome. The
-/// process-wide backend override is part of the effective configuration
-/// even though it never appears in the `RunConfig`.
+impl Default for Session {
+    fn default() -> Self {
+        Session::new(Backend::default())
+    }
+}
+
+impl Session {
+    /// An untraced session on `backend` with a memo of its own.
+    #[must_use]
+    pub fn new(backend: Backend) -> Session {
+        Session::sharing(backend, Arc::default())
+    }
+
+    /// An untraced session on `backend` that reads and fills `memo`.
+    #[must_use]
+    pub fn sharing(backend: Backend, memo: Arc<ResultMemo>) -> Session {
+        Session { backend, trace_capacity: 0, memo: Some(memo), tally: Mutex::default() }
+    }
+
+    /// A session on `backend` that traces every run into per-component
+    /// ring buffers of `capacity` events. It uses no memo: a replayed
+    /// result would have no trace.
+    #[must_use]
+    pub fn traced(backend: Backend, capacity: usize) -> Session {
+        Session { backend, trace_capacity: capacity, memo: None, tally: Mutex::default() }
+    }
+
+    /// Everything the session's runs produced.
+    #[must_use]
+    pub fn into_tally(self) -> Tally {
+        self.tally.into_inner().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Runs one experiment: an [`EXPERIMENT_IDS`] entry or `stats`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an unknown id or if any run fails verification.
+    pub fn run(&self, id: &str, scale: Scale) -> ExpTable {
+        match id {
+            "e1" => e1_fabric_resources(),
+            "e2" => e2_micro_speedup(self, scale),
+            "e3" => e3_suite_speedup(self, scale),
+            "e4" => e4_manual_vs_compiler(self, scale),
+            "e5" => e5_instruction_reduction(self, scale),
+            "e6" => e6_energy(self, scale),
+            "e7" => e7_config_overhead(self, scale),
+            "e8" => e8_control_flow_shapes(self, scale),
+            "e9" => e9_fabric_sweep(self, scale),
+            "e10" => e10_integration_overhead(self, scale),
+            "p1" | "p2" | "p3" => program_experiment(self, id, scale),
+            "ablation" => ablation(self, scale),
+            "stats" => stats(self, scale),
+            other => panic!("unknown experiment `{other}`"),
+        }
+    }
+
+    /// `RunConfig::default()` on this session's backend.
+    fn config(&self) -> RunConfig {
+        RunConfig { backend: self.backend, ..RunConfig::default() }
+    }
+
+    fn tally(&self) -> MutexGuard<'_, Tally> {
+        self.tally.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Looks up a memoized result, counting the hit or miss; a session
+    /// without a memo looks nothing up and counts nothing.
+    fn memo_get(&self, key: &str) -> Option<KernelResult> {
+        let memo = self.memo.as_ref()?;
+        let hit = memo.lock().unwrap_or_else(PoisonError::into_inner).get(key).cloned();
+        let mut tally = self.tally();
+        match hit {
+            Some(_) => tally.memo_hits += 1,
+            None => tally.memo_misses += 1,
+        }
+        hit
+    }
+
+    fn memo_put(&self, key: String, result: &KernelResult) {
+        if let Some(memo) = &self.memo {
+            memo.lock().unwrap_or_else(PoisonError::into_inner).insert(key, result.clone());
+        }
+    }
+
+    /// One already-compiled program run, verified and tallied.
+    fn run_program(
+        &self,
+        which: &'static str,
+        program: &Program,
+        args: &[u64],
+        init: &[(u64, Vec<u64>)],
+        expected: &[(u64, Vec<u64>)],
+        config: &RunConfig,
+    ) -> Result<RunStats, HarnessError> {
+        let run =
+            run_program_traced(which, program, args, init, expected, config, self.trace_capacity)?;
+        let stats = run.stats.clone();
+        self.tally().runs.push(run);
+        Ok(stats)
+    }
+
+    /// Both legs of a whole program, memoized and tallied.
+    fn run_program_case(&self, case: &ProgramCase, n: usize, config: &RunConfig) -> KernelResult {
+        let key = memo_key(&case.name, n, config);
+        if let Some(r) = self.memo_get(&key) {
+            return r;
+        }
+        let (r, legs) = run_program_case_legs(case, config)
+            .unwrap_or_else(|e| panic!("{} (n={n}): {e}", case.name));
+        self.tally().runs.extend(
+            legs.map(|leg| RunArtifacts { stats: leg.stats, speed: leg.speed, trace: None }),
+        );
+        self.memo_put(key, &r);
+        r
+    }
+
+    fn job_for(&self, k: &Kernel, n: usize, config_mut: impl FnOnce(&mut RunConfig)) -> KernelJob {
+        let mut config = self.config();
+        config.compiler = k.compiler_options(config.system.geometry);
+        config_mut(&mut config);
+        (k.case(n, SEED), config)
+    }
+
+    fn run_one(&self, k: &Kernel, n: usize, tweak: impl FnOnce(&mut RunConfig)) -> KernelResult {
+        let job = self.job_for(k, n, tweak);
+        self.run_jobs(vec![(k.name, n, job)]).pop().expect("one result per job")
+    }
+
+    /// Runs every kernel at its scaled default size.
+    fn run_suite(&self, kernels: Vec<Kernel>, scale: Scale) -> Vec<(Kernel, usize, KernelResult)> {
+        let jobs: Vec<_> = kernels
+            .iter()
+            .map(|k| (k.name, scale.n(k.default_n), self.job_for(k, scale.n(k.default_n), |_| {})))
+            .collect();
+        let sizes: Vec<usize> = jobs.iter().map(|(_, n, _)| *n).collect();
+        let results = self.run_jobs(jobs);
+        kernels.into_iter().zip(sizes).zip(results).map(|((k, n), r)| (k, n, r)).collect()
+    }
+
+    /// Runs `(kernel name, n, job)` triples, fanned across the harness's
+    /// worker pool; results come back in input order, and runs are
+    /// tallied in that order too. Jobs already in the memo are replayed
+    /// without simulating.
+    fn run_jobs(&self, jobs: Vec<(&str, usize, KernelJob)>) -> Vec<KernelResult> {
+        let keys: Vec<String> =
+            jobs.iter().map(|(name, n, (_, config))| memo_key(name, *n, config)).collect();
+        let mut results: Vec<Option<KernelResult>> =
+            keys.iter().map(|key| self.memo_get(key)).collect();
+        let missing: Vec<usize> = (0..jobs.len()).filter(|&i| results[i].is_none()).collect();
+        let fresh = parallel_map(&missing, default_workers(), |&i| {
+            let (_, _, (case, config)) = &jobs[i];
+            run_kernel_traced(case, config, self.trace_capacity)
+        });
+        for (&i, outcome) in missing.iter().zip(fresh) {
+            let (name, n, _) = &jobs[i];
+            let (r, legs) = outcome.unwrap_or_else(|e| panic!("{name} (n={n}): {e}"));
+            self.tally().runs.extend(legs);
+            self.memo_put(keys[i].clone(), &r);
+            results[i] = Some(r);
+        }
+        results.into_iter().map(|r| r.expect("every slot filled")).collect()
+    }
+}
+
+/// The memo key: everything that can change a run's outcome.
 fn memo_key(kernel: &str, n: usize, config: &RunConfig) -> String {
-    format!("{kernel}|{n}|{:?}|{config:?}", backend_override())
-}
-
-/// Looks up a cached result, counting the hit or miss. Tracing bypasses
-/// the memo entirely (a replayed result produces no trace events), and
-/// bypassed lookups count as neither hit nor miss.
-fn memo_get(key: &str) -> Option<KernelResult> {
-    if trace_capacity() > 0 {
-        return None;
-    }
-    let hit = result_memo().lock().expect("result memo lock").get(key).cloned();
-    match hit {
-        Some(_) => RESULT_HITS.fetch_add(1, Ordering::Relaxed),
-        None => RESULT_MISSES.fetch_add(1, Ordering::Relaxed),
-    };
-    hit
-}
-
-fn memo_put(key: String, result: &KernelResult) {
-    if trace_capacity() > 0 {
-        return;
-    }
-    result_memo().lock().expect("result memo lock").insert(key, result.clone());
-}
-
-/// Empties the result memo (the hit/miss counters keep counting).
-/// `time_experiments` clears it before every warmup and repetition so a
-/// timed run measures real simulation, not a map lookup.
-pub fn clear_result_memo() {
-    result_memo().lock().expect("result memo lock").clear();
-}
-
-/// Process-wide result-memo counters: `(hits, misses)` across every
-/// experiment run so far. Surfaced as a `repro stats` note.
-#[must_use]
-pub fn result_memo_stats() -> (u64, u64) {
-    (RESULT_HITS.load(Ordering::Relaxed), RESULT_MISSES.load(Ordering::Relaxed))
+    format!("{kernel}|{n}|{config:?}")
 }
 
 fn kernel_by_name(name: &str) -> Kernel {
@@ -133,56 +308,6 @@ fn kernel_by_name(name: &str) -> Kernel {
         .into_iter()
         .find(|k| k.name == name)
         .unwrap_or_else(|| panic!("kernel `{name}` in suite"))
-}
-
-fn job_for(k: &Kernel, n: usize, config_mut: impl FnOnce(&mut RunConfig)) -> KernelJob {
-    let mut config = RunConfig::default();
-    config.compiler = k.compiler_options(config.system.geometry);
-    config_mut(&mut config);
-    (k.case(n, SEED), config)
-}
-
-fn run_one(k: &Kernel, n: usize, config_mut: impl FnOnce(&mut RunConfig)) -> KernelResult {
-    let (case, config) = job_for(k, n, config_mut);
-    let key = memo_key(&k.name, n, &config);
-    if let Some(r) = memo_get(&key) {
-        return r;
-    }
-    let r = run_kernel(&case, &config).unwrap_or_else(|e| panic!("{} (n={n}): {e}", k.name));
-    memo_put(key, &r);
-    r
-}
-
-/// Runs every kernel at its scaled default size, fanned across the
-/// harness's worker pool; results come back in input order. Jobs already
-/// in the result memo are replayed without simulating.
-fn run_suite(kernels: Vec<Kernel>, scale: Scale) -> Vec<(Kernel, usize, KernelResult)> {
-    let sizes: Vec<usize> = kernels.iter().map(|k| scale.n(k.default_n)).collect();
-    let jobs: Vec<KernelJob> =
-        kernels.iter().zip(&sizes).map(|(k, &n)| job_for(k, n, |_| {})).collect();
-    let keys: Vec<String> = kernels
-        .iter()
-        .zip(&sizes)
-        .zip(&jobs)
-        .map(|((k, &n), (_, config))| memo_key(&k.name, n, config))
-        .collect();
-    let mut results: Vec<Option<KernelResult>> = keys.iter().map(|key| memo_get(key)).collect();
-    let missing: Vec<usize> = (0..jobs.len()).filter(|&i| results[i].is_none()).collect();
-    if !missing.is_empty() {
-        let fresh_jobs: Vec<KernelJob> = missing.iter().map(|&i| jobs[i].clone()).collect();
-        let fresh = run_kernels(&fresh_jobs, default_workers());
-        for (&i, r) in missing.iter().zip(fresh) {
-            let r = r.unwrap_or_else(|e| panic!("{} (n={}): {e}", kernels[i].name, sizes[i]));
-            memo_put(keys[i].clone(), &r);
-            results[i] = Some(r);
-        }
-    }
-    kernels
-        .into_iter()
-        .zip(sizes)
-        .zip(results)
-        .map(|((k, n), r)| (k, n, r.expect("every slot filled")))
-        .collect()
 }
 
 /// The attribution bucket labels, used as CSV-only column headers on the
@@ -249,7 +374,7 @@ pub fn e1_fabric_resources() -> ExpTable {
 
 /// E2 (microbenchmark speedup figure): SPARC-DySER vs OpenSPARC cycles on
 /// the compute-intense microbenchmarks — the paper's headline 6x claim.
-pub fn e2_micro_speedup(scale: Scale) -> ExpTable {
+pub fn e2_micro_speedup(s: &Session, scale: Scale) -> ExpTable {
     let mut t = ExpTable::new(
         "E2: microbenchmark speedup (SPARC-DySER vs OpenSPARC)",
         &["kernel", "n", "base cycles", "dyser cycles", "speedup"],
@@ -259,7 +384,7 @@ pub fn e2_micro_speedup(scale: Scale) -> ExpTable {
     let mut peak: f64 = 0.0;
     let micro: Vec<Kernel> =
         suite().into_iter().filter(|k| k.category == Category::Micro).collect();
-    for (k, n, r) in run_suite(micro, scale) {
+    for (k, n, r) in s.run_suite(micro, scale) {
         speedups.push(r.speedup);
         peak = peak.max(r.speedup);
         let extras = attribution_extras(&r);
@@ -289,7 +414,7 @@ pub fn e2_micro_speedup(scale: Scale) -> ExpTable {
 
 /// E3 (suite speedup figure): speedups across the full kernel suite,
 /// grouped by category — regular vs irregular.
-pub fn e3_suite_speedup(scale: Scale) -> ExpTable {
+pub fn e3_suite_speedup(s: &Session, scale: Scale) -> ExpTable {
     let mut t = ExpTable::new(
         "E3: full-suite speedup by category",
         &["kernel", "category", "n", "speedup", "accelerated"],
@@ -300,7 +425,7 @@ pub fn e3_suite_speedup(scale: Scale) -> ExpTable {
         (Category::Irregular, Vec::new()),
     ];
     t.csv_extra_headers(&bucket_labels());
-    for (k, n, r) in run_suite(suite(), scale) {
+    for (k, n, r) in s.run_suite(suite(), scale) {
         by_cat.iter_mut().find(|(c, _)| *c == k.category).expect("category").1.push(r.speedup);
         let extras = attribution_extras(&r);
         t.row_with_extras(
@@ -335,26 +460,23 @@ pub fn e3_suite_speedup(scale: Scale) -> ExpTable {
 ///
 /// Panics if any kernel fails verification or any attribution check
 /// fails — an unbalanced account is a simulator bug, not a result.
-pub fn stats_attribution(scale: Scale) -> ExpTable {
+fn stats(s: &Session, scale: Scale) -> ExpTable {
     let mut headers: Vec<&str> = vec!["kernel", "run", "cycles"];
     headers.extend(bucket_labels());
-    // The process-wide speed totals only grow; snapshot them so the
-    // notes report this sweep alone. Without the subtraction a second
-    // invocation in the same process (`--reps N`, `repro e2 stats`, a
-    // long-lived serve daemon) would fold every earlier run's counters
-    // into the hit rates.
-    let speed_before = speed_stat_totals();
     // A stats sweep diagnoses the simulation hot path, so it must run
-    // real simulation: empty the cross-table result memo (a replayed
-    // sweep would show an idle decode cache) and report the memo's
-    // sweep-local counters by the same snapshot-delta scheme.
-    clear_result_memo();
-    let (memo_hits_before, memo_misses_before) = result_memo_stats();
+    // real simulation (a replayed sweep would show an idle decode
+    // cache): it runs in a session of its own with an empty memo, whose
+    // tally is this sweep's alone and joins the caller's afterwards.
+    let sweep = Session {
+        memo: s.memo.as_ref().map(|_| Arc::default()),
+        tally: Mutex::default(),
+        ..*s
+    };
     let mut t = ExpTable::new("Stats: cycle attribution by bucket (% of run cycles)", &headers);
     let raw_headers: Vec<String> =
         bucket_labels().iter().map(|l| format!("{l}-cycles")).collect();
     t.csv_extra_headers(&raw_headers.iter().map(String::as_str).collect::<Vec<_>>());
-    for (k, _n, r) in run_suite(suite(), scale) {
+    for (k, _n, r) in sweep.run_suite(suite(), scale) {
         for (run, stats) in [("baseline", &r.baseline), ("dyser", &r.dyser)] {
             let acct = stats.cycle_account();
             assert!(
@@ -382,7 +504,8 @@ pub fn stats_attribution(scale: Scale) -> ExpTable {
     }
     t.note("buckets are exclusive and exhaustive: each row's buckets sum to its cycle count");
     t.note("mem-miss equals the hierarchy's own stall count on every row (cross-checked)");
-    let speed = speed_stat_totals().minus(&speed_before);
+    let tally = sweep.into_tally();
+    let speed = tally.speed();
     t.note(format!(
         "decode cache (interpreted issue path): {} hits / {} misses ({:.1}% hit rate)",
         speed.decode_hits,
@@ -397,14 +520,13 @@ pub fn stats_attribution(scale: Scale) -> ExpTable {
         speed.blocks.invalidations,
         percent(speed.blocks.hits, speed.blocks.hits + speed.blocks.misses),
     ));
-    let (memo_hits_after, memo_misses_after) = result_memo_stats();
-    let memo_hits = memo_hits_after - memo_hits_before;
-    let memo_misses = memo_misses_after - memo_misses_before;
+    let (memo_hits, memo_misses) = (tally.memo_hits, tally.memo_misses);
     t.note(format!(
         "result memo (cross-table, this sweep): {memo_hits} hits / {memo_misses} misses \
          ({:.1}% hit rate)",
         percent(memo_hits, memo_hits + memo_misses),
     ));
+    s.tally().runs.extend(tally.runs);
     t
 }
 
@@ -421,7 +543,7 @@ fn percent(part: u64, whole: u64) -> f64 {
 
 /// E4 (manual-vs-compiler figure): hand-optimised DySER code against
 /// compiler-generated DySER code on the kernels with manual mappings.
-pub fn e4_manual_vs_compiler(scale: Scale) -> ExpTable {
+pub fn e4_manual_vs_compiler(s: &Session, scale: Scale) -> ExpTable {
     let mut t = ExpTable::new(
         "E4: manual vs compiler-generated DySER code",
         &["kernel", "n", "base", "compiler", "manual", "compiler x", "manual x", "compiler/manual"],
@@ -430,12 +552,12 @@ pub fn e4_manual_vs_compiler(scale: Scale) -> ExpTable {
     for m in manual::all(geometry, scale.n(512), SEED) {
         let k = kernel_by_name(m.name);
         let n = scale.n(512);
-        let r = run_one(&k, n, |_| {});
-        let mut rc = RunConfig::default();
+        let r = s.run_one(&k, n, |_| {});
+        let mut rc = s.config();
         rc.system.geometry = geometry;
-        let manual_stats =
-            run_program("manual", &m.program, &m.args, &m.init, &m.expected, &rc)
-                .unwrap_or_else(|e| panic!("manual {}: {e}", m.name));
+        let manual_stats = s
+            .run_program("manual", &m.program, &m.args, &m.init, &m.expected, &rc)
+            .unwrap_or_else(|e| panic!("manual {}: {e}", m.name));
         let compiler_x = r.speedup;
         let manual_x = r.baseline.cycles as f64 / manual_stats.cycles.max(1) as f64;
         t.row(vec![
@@ -457,13 +579,13 @@ pub fn e4_manual_vs_compiler(scale: Scale) -> ExpTable {
 
 /// E5 (dynamic instruction figure): instructions executed by the core,
 /// baseline vs accelerated, with the offloaded fraction.
-pub fn e5_instruction_reduction(scale: Scale) -> ExpTable {
+pub fn e5_instruction_reduction(s: &Session, scale: Scale) -> ExpTable {
     let mut t = ExpTable::new(
         "E5: dynamic core instructions, baseline vs DySER",
         &["kernel", "base instrs", "dyser instrs", "reduction", "base fp+mul", "dyser fp+mul", "fabric ops"],
     );
     use dyser_isa::InstrClass as C;
-    for (k, _n, r) in run_suite(suite(), scale) {
+    for (k, _n, r) in s.run_suite(suite(), scale) {
         let heavy = |s: &dyser_core::RunStats| {
             s.core.class_count(C::Fp) + s.core.class_count(C::IntMulDiv)
         };
@@ -485,14 +607,14 @@ pub fn e5_instruction_reduction(scale: Scale) -> ExpTable {
 
 /// E6 (power/energy table): the energy model's view of both runs —
 /// fabric power near the prototype's 200 mW, energy and EDP ratios.
-pub fn e6_energy(scale: Scale) -> ExpTable {
+pub fn e6_energy(s: &Session, scale: Scale) -> ExpTable {
     let mut t = ExpTable::new(
         "E6: energy and power (activity model, 50 MHz)",
         &["kernel", "base uJ", "dyser uJ", "energy ratio", "fabric mW", "EDP gain"],
     );
     let model = EnergyModel::default();
     let mut fabric_powers = Vec::new();
-    for (k, _n, r) in run_suite(suite(), scale) {
+    for (k, _n, r) in s.run_suite(suite(), scale) {
         let eb = r.baseline.energy(&model);
         let ed = r.dyser.energy(&model);
         if r.accelerated_any {
@@ -518,7 +640,7 @@ pub fn e6_energy(scale: Scale) -> ExpTable {
 
 /// E7 (configuration-overhead figure): speedup versus invocation count —
 /// the configuration load amortises as the loop runs longer.
-pub fn e7_config_overhead(scale: Scale) -> ExpTable {
+pub fn e7_config_overhead(s: &Session, scale: Scale) -> ExpTable {
     let mut t = ExpTable::new(
         "E7: configuration-overhead amortisation (saxpy)",
         &["n", "config cycles", "base cycles", "dyser cycles", "speedup"],
@@ -527,7 +649,7 @@ pub fn e7_config_overhead(scale: Scale) -> ExpTable {
     let base_sizes = [8usize, 16, 32, 64, 128, 256, 512, 1024];
     for &n0 in &base_sizes {
         let n = scale.n(n0).max(8);
-        let r = run_one(&k, n, |_| {});
+        let r = s.run_one(&k, n, |_| {});
         let config_cycles = r.dyser.core.stall_count(StallCause::DyserConfig);
         t.row(vec![
             n.to_string(),
@@ -545,7 +667,7 @@ pub fn e7_config_overhead(scale: Scale) -> ExpTable {
 
 /// E8 (control-flow-shape study): the two shapes that curtail the
 /// compiler, plus the adaptive exit-condition offload.
-pub fn e8_control_flow_shapes(scale: Scale) -> ExpTable {
+pub fn e8_control_flow_shapes(s: &Session, scale: Scale) -> ExpTable {
     let mut t = ExpTable::new(
         "E8: control-flow shapes and the adaptive mechanism",
         &["kernel", "shape", "acceleratable", "speedup", "note"],
@@ -566,7 +688,7 @@ pub fn e8_control_flow_shapes(scale: Scale) -> ExpTable {
     for name in ["relu_clamp", "find_first", "cond_store"] {
         let k = kernel_by_name(name);
         let n = scale.n(k.default_n);
-        let r = run_one(&k, n, |_| {});
+        let r = s.run_one(&k, n, |_| {});
         let shape = shape_of(&k);
         let note = match shape {
             LoopShape::IfConvertible => "predicated into selects and accelerated",
@@ -587,12 +709,13 @@ pub fn e8_control_flow_shapes(scale: Scale) -> ExpTable {
     {
         let k = kernel_by_name("find_first");
         let n = scale.n(k.default_n);
-        let base = run_one(&k, n, |_| {});
+        let base = s.run_one(&k, n, |_| {});
         if let Some(m) =
             dyser_workloads::shapes::speculative_window(FabricGeometry::new(8, 8), n, SEED)
         {
-            let rc = RunConfig::default();
-            let spec = run_program("speculative", &m.program, &m.args, &m.init, &m.expected, &rc)
+            let rc = s.config();
+            let spec = s
+                .run_program("speculative", &m.program, &m.args, &m.init, &m.expected, &rc)
                 .expect("speculative search verifies");
             let x = base.baseline.cycles as f64 / spec.cycles.max(1) as f64;
             t.row(vec![
@@ -608,10 +731,10 @@ pub fn e8_control_flow_shapes(scale: Scale) -> ExpTable {
     // Adaptive mechanism 2: exit-condition offload, on and off.
     let k = kernel_by_name("scan_poly");
     let n = scale.n(k.default_n);
-    let off = run_one(&k, n, |c| {
+    let off = s.run_one(&k, n, |c| {
         c.compiler.region.offload_exit_condition = false;
     });
-    let on = run_one(&k, n, |_| {});
+    let on = s.run_one(&k, n, |_| {});
     t.row(vec![
         "scan_poly (no offload)".into(),
         "data-dependent exit".into(),
@@ -635,7 +758,7 @@ pub fn e8_control_flow_shapes(scale: Scale) -> ExpTable {
 // ------------------------------------------------------------------ E9
 
 /// E9 (fabric-size sensitivity figure): speedup versus fabric geometry.
-pub fn e9_fabric_sweep(scale: Scale) -> ExpTable {
+pub fn e9_fabric_sweep(s: &Session, scale: Scale) -> ExpTable {
     let mut t = ExpTable::new(
         "E9: speedup vs fabric geometry",
         &["kernel", "2x2", "4x4", "6x6", "8x8"],
@@ -645,7 +768,7 @@ pub fn e9_fabric_sweep(scale: Scale) -> ExpTable {
         let n = scale.n(k.default_n / 2);
         let mut cells = vec![name.to_owned()];
         for dim in [2usize, 4, 6, 8] {
-            let r = run_one(&k, n, |c| c.set_geometry(FabricGeometry::new(dim, dim)));
+            let r = s.run_one(&k, n, |c| c.set_geometry(FabricGeometry::new(dim, dim)));
             cells.push(format!("{:.2}x", r.speedup));
         }
         t.row(cells);
@@ -659,7 +782,7 @@ pub fn e9_fabric_sweep(scale: Scale) -> ExpTable {
 /// E10 (integration-overhead table): a DySER-equipped system running the
 /// unaccelerated binary must cost exactly the same cycles as a system
 /// with no fabric at all — integration introduces no overhead.
-pub fn e10_integration_overhead(scale: Scale) -> ExpTable {
+pub fn e10_integration_overhead(s: &Session, scale: Scale) -> ExpTable {
     let mut t = ExpTable::new(
         "E10: integration overhead (baseline binary, fabric present vs absent)",
         &["kernel", "no-fabric cycles", "fabric-idle cycles", "delta"],
@@ -673,14 +796,14 @@ pub fn e10_integration_overhead(scale: Scale) -> ExpTable {
         )
         .expect("compiles");
 
-        let mut rc_none = RunConfig::default();
+        let run = |which, rc: &RunConfig| {
+            s.run_program(which, &compiled.baseline, &case.args, &case.init, &case.expected, rc)
+                .unwrap_or_else(|e| panic!("{}: {e}", k.name))
+        };
+        let mut rc_none = s.config();
         rc_none.system.has_fabric = false;
-        let none = run_program("no-fabric", &compiled.baseline, &case.args, &case.init, &case.expected, &rc_none)
-            .unwrap_or_else(|e| panic!("{}: {e}", k.name));
-
-        let rc_idle = RunConfig::default();
-        let idle = run_program("fabric-idle", &compiled.baseline, &case.args, &case.init, &case.expected, &rc_idle)
-            .unwrap_or_else(|e| panic!("{}: {e}", k.name));
+        let none = run("no-fabric", &rc_none);
+        let idle = run("fabric-idle", &s.config());
 
         t.row(vec![
             k.name.into(),
@@ -704,24 +827,15 @@ pub const PROGRAM_N: usize = 256;
 /// termination via `exit` — run as a baseline and a DySER-accelerated
 /// leg. Both legs must produce byte-identical stdout and the same exit
 /// code (the harness verifies this on every run).
-pub fn program_experiment(name: &str, scale: Scale) -> ExpTable {
+pub fn program_experiment(s: &Session, name: &str, scale: Scale) -> ExpTable {
     let build = dyser_workloads::programs::by_name(name)
         .unwrap_or_else(|| panic!("unknown program `{name}`"));
     let n = scale.n(PROGRAM_N);
     let geometry = FabricGeometry::new(8, 8);
     let case = build(geometry, n, SEED).expect("the 8x8 fabric fits every program");
-    let mut config = RunConfig::default();
+    let mut config = s.config();
     config.system.geometry = geometry;
-    let key = memo_key(&case.name, n, &config);
-    let r = match memo_get(&key) {
-        Some(r) => r,
-        None => {
-            let r = dyser_core::run_program_case(&case, &config)
-                .unwrap_or_else(|e| panic!("{name} (n={n}): {e}"));
-            memo_put(key, &r);
-            r
-        }
-    };
+    let r = s.run_program_case(&case, n, &config);
     let mut t = ExpTable::new(
          match name {
             "p1" => "P1: whole-program string matcher (argv key, stdin text)",
@@ -758,7 +872,7 @@ pub fn program_experiment(name: &str, scale: Scale) -> ExpTable {
 /// Ablation of the compiler's design choices (DESIGN.md): unroll factor,
 /// store-lag depth, and if-conversion, on one compute-heavy and one
 /// memory-heavy kernel.
-pub fn ablation(scale: Scale) -> ExpTable {
+pub fn ablation(s: &Session, scale: Scale) -> ExpTable {
     let mut t = ExpTable::new(
         "Ablation: compiler design choices",
         &["kernel", "variant", "dyser cycles", "speedup"],
@@ -787,7 +901,7 @@ pub fn ablation(scale: Scale) -> ExpTable {
             ("universal FUs", Box::new(|c: &mut RunConfig| c.set_universal_fus())),
         ];
         for (label, tweak) in variants {
-            let r = run_one(&k, n, |c| tweak(c));
+            let r = s.run_one(&k, n, |c| tweak(c));
             t.row(vec![
                 name.into(),
                 label.into(),
@@ -816,20 +930,20 @@ mod tests {
 
     #[test]
     fn e2_reports_micro_kernels_and_geomean() {
-        let t = e2_micro_speedup(TINY);
+        let t = e2_micro_speedup(&Session::default(), TINY);
         assert_eq!(t.rows.len(), 3 + 1);
         assert!(t.rows.last().unwrap()[0] == "geomean");
     }
 
     #[test]
     fn e4_covers_all_manual_kernels() {
-        let t = e4_manual_vs_compiler(TINY);
+        let t = e4_manual_vs_compiler(&Session::default(), TINY);
         assert_eq!(t.rows.len(), 3);
     }
 
     #[test]
     fn e7_speedup_grows_with_n() {
-        let t = e7_config_overhead(Scale(0.5));
+        let t = e7_config_overhead(&Session::default(), Scale(0.5));
         let col = &t.headers[4];
         let first: f64 = t.parse_cell(0, col).expect("first row speedup");
         let last: f64 = t.parse_cell(t.rows.len() - 1, col).expect("last row speedup");
@@ -838,7 +952,7 @@ mod tests {
 
     #[test]
     fn e10_deltas_are_zero() {
-        let t = e10_integration_overhead(TINY);
+        let t = e10_integration_overhead(&Session::default(), TINY);
         for row in &t.rows {
             assert_eq!(row[3], "0", "{row:?}");
         }
@@ -846,7 +960,7 @@ mod tests {
 
     #[test]
     fn ablation_defaults_not_slower_than_no_lag() {
-        let t = ablation(Scale(0.25));
+        let t = ablation(&Session::default(), Scale(0.25));
         // poly6's default variant must beat its no-store-lag variant.
         let cycles = |variant: &str| -> u64 {
             let row = t
@@ -861,36 +975,28 @@ mod tests {
 
     #[test]
     fn result_memo_replays_bit_identically() {
+        let s = Session::default();
         let k = kernel_by_name("saxpy");
         let n = TINY.n(k.default_n);
-        // A config no other test uses, so the key is this test's alone.
-        let tweak = |c: &mut RunConfig| c.system.fifo_depth = 7;
-        let first = run_one(&k, n, tweak);
-        // Another test may clear the memo concurrently (time_experiments
-        // clears per repetition); retry until a lookup lands as a hit.
-        let mut hit_seen = false;
-        for _ in 0..5 {
-            let (h0, _) = result_memo_stats();
-            let again = run_one(&k, n, tweak);
-            assert_eq!(again.baseline.cycles, first.baseline.cycles);
-            assert_eq!(again.dyser.cycles, first.dyser.cycles);
-            assert_eq!(again.speedup, first.speedup);
-            let (h1, _) = result_memo_stats();
-            if h1 > h0 {
-                hit_seen = true;
-                break;
-            }
-        }
-        assert!(hit_seen, "repeated identical runs never hit the result memo");
+        let first = s.run_one(&k, n, |_| {});
+        let again = s.run_one(&k, n, |_| {});
+        assert_eq!(again.baseline.cycles, first.baseline.cycles);
+        assert_eq!(again.dyser.cycles, first.dyser.cycles);
+        assert_eq!(again.speedup, first.speedup);
+        let tally = s.into_tally();
+        assert_eq!((tally.memo_hits, tally.memo_misses), (1, 1));
+        assert_eq!(tally.runs.len(), 2, "the replay must not simulate");
     }
 
     #[test]
     fn memoized_tables_render_identically() {
         // e3/e5/e6 re-sweep the suite e2 already ran in `repro all`; the
         // memoized replay must not change a single cell. Rendering the
-        // same table twice (cold, then warm) checks exactly that path.
-        let cold = e2_micro_speedup(TINY);
-        let warm = e2_micro_speedup(TINY);
+        // same table twice in one session (cold, then warm) checks
+        // exactly that path.
+        let s = Session::default();
+        let cold = e2_micro_speedup(&s, TINY);
+        let warm = e2_micro_speedup(&s, TINY);
         assert_eq!(cold.to_csv(), warm.to_csv());
     }
 

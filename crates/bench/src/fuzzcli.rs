@@ -8,6 +8,7 @@ use std::time::Instant;
 use dyser_fuzz::corpus::{recipe_json, rust_repro};
 use dyser_fuzz::sysprog::{run_sys_campaign, sys_recipe_json};
 use dyser_fuzz::{run_campaign, CampaignConfig, CampaignReport};
+use dyser_sparc::CycleAccount;
 
 use crate::timing::Timing;
 
@@ -147,6 +148,7 @@ pub fn time_fuzz(cases: u64, seed: u64, reps: usize) -> (Timing, f64) {
             wall_ms_median: median,
             wall_ms_min: walls[0],
             sim_cycles: cycles,
+            buckets: CycleAccount::default(),
             mcycles_per_sec: throughput,
             config_only: false,
         },

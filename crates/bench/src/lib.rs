@@ -23,7 +23,7 @@ pub mod timing;
 
 pub use dse::{dse_path, run_dse, run_dse_batch, DseOutcome, DsePlan};
 pub use experiments::{
-    clear_result_memo, result_memo_stats, run_experiment, stats_attribution, Scale, EXPERIMENT_IDS,
+    run_experiment, stats_attribution, ResultMemo, Scale, Session, Tally, EXPERIMENT_IDS,
 };
 pub use fuzzcli::{run_fuzz_cli, time_fuzz};
 pub use table::{ExpTable, TableError};

@@ -5,12 +5,10 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use dyser_core::{
-    cycle_bucket_totals, default_workers, run_kernel_batch, simulated_cycles, KernelJob, RunConfig,
-};
-use dyser_sparc::CycleBucket;
+use dyser_core::{default_workers, run_kernel_batch, Backend, KernelJob, RunConfig};
+use dyser_sparc::{CycleAccount, CycleBucket};
 
-use crate::experiments::{run_experiment, SEED};
+use crate::experiments::{Scale, Session, SEED};
 
 /// Pre-change reference medians in milliseconds — `repro e2` (the micro
 /// suite) and `repro all` measured on the same machine with the same
@@ -96,6 +94,10 @@ pub struct Timing {
     /// Simulated cycles per repetition (identical across repetitions —
     /// the experiments are deterministic).
     pub sim_cycles: u64,
+    /// The cycle attribution of one repetition: its buckets sum to
+    /// `sim_cycles` (the fuzz campaign attributes nothing and leaves it
+    /// empty).
+    pub buckets: CycleAccount,
     /// Simulation throughput at the median wall time.
     pub mcycles_per_sec: f64,
     /// The experiment ran no simulation (e.g. `e1` renders tables from
@@ -104,35 +106,33 @@ pub struct Timing {
     pub config_only: bool,
 }
 
-/// Times each experiment: one untimed warmup run (fills the compile
-/// cache and pages the binary in), then `reps` measured repetitions;
-/// the median is the headline number.
+/// Times each experiment on `backend`: one untimed warmup run (fills
+/// the compile cache and pages the binary in), then `reps` measured
+/// repetitions; the median is the headline number.
 ///
-/// The cross-table result memo is emptied before the warmup and before
-/// every repetition: a timed run must measure real simulation, not a
-/// replay of a previous repetition's cached results. (Hits *within* one
-/// experiment still count — that reuse is genuine harness speed.)
+/// The warmup and every repetition run in a fresh [`Session`], so a
+/// timed run measures real simulation, not a replay of an earlier
+/// repetition's memoized results. (Hits *within* one experiment still
+/// count — that reuse is genuine harness speed.)
 ///
 /// # Panics
 ///
-/// Panics on unknown ids or experiment failures, like
-/// [`run_experiment`].
-pub fn time_experiments(ids: &[&str], reps: usize) -> Vec<Timing> {
+/// Panics on unknown ids or experiment failures, like [`Session::run`].
+pub fn time_experiments(ids: &[&str], reps: usize, backend: Backend) -> Vec<Timing> {
     let reps = reps.max(1);
     ids.iter()
         .map(|&id| {
-            crate::experiments::clear_result_memo();
-            run_experiment(id);
+            Session::new(backend).run(id, Scale(1.0));
             let mut walls = Vec::with_capacity(reps);
-            let mut cycles = 0;
+            let mut tally = Default::default();
             for _ in 0..reps {
-                crate::experiments::clear_result_memo();
-                let c0 = simulated_cycles();
+                let session = Session::new(backend);
                 let t0 = Instant::now();
-                run_experiment(id);
+                session.run(id, Scale(1.0));
                 walls.push(t0.elapsed().as_secs_f64() * 1e3);
-                cycles = simulated_cycles() - c0;
+                tally = session.into_tally();
             }
+            let cycles = tally.sim_cycles();
             walls.sort_by(f64::total_cmp);
             let median = median_sorted(&walls);
             let throughput =
@@ -142,6 +142,7 @@ pub fn time_experiments(ids: &[&str], reps: usize) -> Vec<Timing> {
                 wall_ms_median: median,
                 wall_ms_min: walls[0],
                 sim_cycles: cycles,
+                buckets: tally.account(),
                 mcycles_per_sec: throughput,
                 config_only: cycles == 0,
             }
@@ -157,44 +158,47 @@ fn median_sorted(walls: &[f64]) -> f64 {
     if walls.len() % 2 == 0 { (walls[mid - 1] + walls[mid]) / 2.0 } else { walls[mid] }
 }
 
-/// Batched-lockstep throughput: every suite kernel at a quarter of its
-/// default size submitted as ONE ragged mixed-kernel batch through
-/// [`run_kernel_batch`], one untimed warmup (fills the compile cache),
-/// then `reps` measured repetitions. Returns simulated Mcycles per
-/// second at the median wall time — the `batch_mcycles_per_sec` figure
-/// in `BENCH_repro.json`, tracking the lockstep engine's throughput
-/// alongside the per-experiment serial numbers.
+/// Batched-lockstep throughput on `backend`: every suite kernel at a
+/// quarter of its default size submitted as ONE ragged mixed-kernel
+/// batch through [`run_kernel_batch`], one untimed warmup (fills the
+/// compile cache), then `reps` measured repetitions. Returns simulated
+/// Mcycles per second at the median wall time — the
+/// `batch_mcycles_per_sec` figure in `BENCH_repro.json`, tracking the
+/// lockstep engine's throughput alongside the per-experiment serial
+/// numbers.
 ///
 /// # Panics
 ///
 /// Panics if any suite kernel fails verification under batching — that
 /// is a correctness bug, not a timing artifact.
 #[must_use]
-pub fn time_batch(reps: usize) -> f64 {
+pub fn time_batch(reps: usize, backend: Backend) -> f64 {
     let reps = reps.max(1);
     let jobs: Vec<KernelJob> = dyser_workloads::suite()
         .iter()
         .map(|k| {
             let n = (k.default_n / 4).max(8) / 4 * 4;
-            let mut config = RunConfig::default();
+            let mut config = RunConfig { backend, ..RunConfig::default() };
             config.compiler = k.compiler_options(config.system.geometry);
             (k.case(n, SEED), config)
         })
         .collect();
-    let run = |jobs: &[KernelJob]| {
-        for result in run_kernel_batch(jobs, default_workers()) {
-            result.expect("suite kernel verifies under batching");
-        }
+    let run = |jobs: &[KernelJob]| -> u64 {
+        run_kernel_batch(jobs, default_workers())
+            .into_iter()
+            .map(|result| {
+                let r = result.expect("suite kernel verifies under batching");
+                r.baseline.cycles + r.dyser.cycles
+            })
+            .sum()
     };
     run(&jobs);
     let mut walls = Vec::with_capacity(reps);
     let mut cycles = 0;
     for _ in 0..reps {
-        let c0 = simulated_cycles();
         let t0 = Instant::now();
-        run(&jobs);
+        cycles = run(&jobs);
         walls.push(t0.elapsed().as_secs_f64() * 1e3);
-        cycles = simulated_cycles() - c0;
     }
     walls.sort_by(f64::total_cmp);
     let median = median_sorted(&walls);
@@ -206,8 +210,8 @@ pub fn time_batch(reps: usize) -> f64 {
 /// The `reference` block restates `reference`'s medians and, when the
 /// matching ids were timed, the improvement factors — the numbers the
 /// acceptance gate and future PRs compare against. The `cycle_buckets`
-/// block snapshots the process-wide cycle attribution accumulated across
-/// every simulated run so far (see [`cycle_bucket_totals`]).
+/// block is the attribution of one repetition of every timed
+/// experiment, so its `total` equals the sum of their `sim_cycles`.
 /// `fuzz_cases_per_sec` (from `repro fuzz --time`) tracks differential
 /// fuzz throughput alongside kernel throughput; `batch_mcycles_per_sec`
 /// (from [`time_batch`]) tracks the lockstep engine's ragged-batch
@@ -254,7 +258,10 @@ pub fn timing_json(
     if let Some(mps) = batch_mcycles_per_sec {
         let _ = writeln!(s, "  \"batch_mcycles_per_sec\": {mps:.3},");
     }
-    let acct = cycle_bucket_totals();
+    let mut acct = CycleAccount::default();
+    for t in timings {
+        acct.merge(&t.buckets);
+    }
     s.push_str("  \"cycle_buckets\": {\n");
     for bucket in CycleBucket::ALL {
         let _ = writeln!(s, "    \"{}\": {},", bucket.label(), acct.get(bucket));
@@ -285,7 +292,7 @@ mod tests {
 
     #[test]
     fn timing_measures_and_renders_json() {
-        let timings = time_experiments(&["e1"], 1);
+        let timings = time_experiments(&["e1"], 1, Backend::Interpreted);
         assert_eq!(timings.len(), 1);
         assert_eq!(timings[0].id, "e1");
         assert!(timings[0].wall_ms_median >= timings[0].wall_ms_min);
@@ -312,7 +319,7 @@ mod tests {
     fn even_rep_median_averages_middle_samples() {
         // Indirect check via a quick two-rep timing: the median must lie
         // between (inclusive) the min and the max sample.
-        let timings = time_experiments(&["e1"], 2);
+        let timings = time_experiments(&["e1"], 2, Backend::Interpreted);
         let t = &timings[0];
         assert!(t.wall_ms_median >= t.wall_ms_min);
     }
@@ -328,6 +335,7 @@ mod tests {
                 wall_ms_median: 10.0 + i as f64,
                 wall_ms_min: 9.0,
                 sim_cycles: 1000,
+                buckets: CycleAccount::default(),
                 mcycles_per_sec: 1.0,
                 config_only: false,
             })
@@ -345,5 +353,19 @@ mod tests {
         let total: f64 = timings.iter().map(|t| t.wall_ms_median).sum();
         assert!((reloaded.all_ms - total).abs() < 1e-3, "{reloaded:?}");
         assert_eq!(load_reference("/nonexistent/BENCH_repro.json"), Reference::default());
+    }
+
+    #[test]
+    fn cycle_buckets_total_matches_the_timed_experiments() {
+        let timings = time_experiments(&["e2", "p1"], 2, Backend::Interpreted);
+        let json = timing_json(&timings, 2, &Reference::default(), None, None);
+        let buckets = &json[json.find("\"cycle_buckets\"").expect("cycle_buckets block")..];
+        let total = json_number_after(buckets, "total").expect("cycle_buckets total");
+        let sim_cycles: u64 = timings.iter().map(|t| t.sim_cycles).sum();
+        assert!(sim_cycles > 0);
+        assert_eq!(total, sim_cycles as f64, "{json}");
+        for t in &timings {
+            assert!(t.buckets.balanced() && t.buckets.total_cycles == t.sim_cycles, "{t:?}");
+        }
     }
 }

@@ -10,7 +10,7 @@
 //!   the compiled backend (and between the scalar and DySER legs) before
 //!   comparing;
 //! * `programs_experiments.csv` — the `repro p1|p2|p3 --csv` rows,
-//!   asserted byte-identical under a compiled-backend override before
+//!   asserted byte-identical in a compiled-backend session before
 //!   comparing.
 //!
 //! Regenerate with `BLESS=1 cargo test -p dyser-bench --test
@@ -18,8 +18,8 @@
 //! like any other code change.
 
 use dyser_bench::experiments::{PROGRAM_N, SEED};
-use dyser_bench::run_experiment;
-use dyser_core::{run_whole_program, set_backend_override, Backend, RunConfig};
+use dyser_bench::{run_experiment, Scale, Session};
+use dyser_core::{run_whole_program, Backend, RunConfig};
 use dyser_fabric::FabricGeometry;
 use dyser_workloads::programs;
 
@@ -95,12 +95,11 @@ fn program_stdout_is_byte_identical_on_both_backends_and_matches_snapshot() {
 fn program_experiment_csv_matches_snapshot_on_both_backends() {
     let got: String = PROGRAMS.iter().map(|id| run_experiment(id).to_csv() + "\n").collect();
 
-    // The same rows under a compiled-backend override (a distinct memo
-    // key, so the sweep genuinely re-runs) must be byte-identical.
-    set_backend_override(Some(Backend::Compiled));
+    // The same rows in a compiled-backend session must be
+    // byte-identical.
+    let session = Session::new(Backend::Compiled);
     let compiled: String =
-        PROGRAMS.iter().map(|id| run_experiment(id).to_csv() + "\n").collect();
-    set_backend_override(None);
+        PROGRAMS.iter().map(|id| session.run(id, Scale(1.0)).to_csv() + "\n").collect();
     assert_eq!(got, compiled, "program experiment CSV differs between backends");
 
     check_snapshot(CSV_SNAPSHOT, &got, "program experiment CSV");

@@ -8,29 +8,29 @@
 //! --test golden_repro` after an intentional change, and review the diff
 //! like any other code change.
 
-use dyser_core::{cycle_bucket_totals, simulated_cycles};
-
-use dyser_bench::{run_experiment, EXPERIMENT_IDS};
+use dyser_bench::{Scale, Session, EXPERIMENT_IDS};
 
 const SNAPSHOT: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/snapshots/repro_all.csv");
 
 /// Exactly what `repro all --csv` writes to stdout: each table's CSV
-/// followed by the blank line `println!` appends.
-fn full_csv() -> String {
-    EXPERIMENT_IDS.iter().map(|id| run_experiment(id).to_csv() + "\n").collect()
+/// followed by the blank line `println!` appends, rendered in one
+/// session as `repro` does.
+fn full_csv(session: &Session) -> String {
+    EXPERIMENT_IDS.iter().map(|id| session.run(id, Scale(1.0)).to_csv() + "\n").collect()
 }
 
 #[test]
 fn repro_all_csv_is_byte_identical_to_snapshot() {
-    let got = full_csv();
+    let session = Session::default();
+    let got = full_csv(&session);
 
-    // The sweep above simulated every experiment in this process; the
+    // The sweep above simulated every experiment in this session; the
     // attribution identity must hold in aggregate: the per-bucket totals
-    // accumulated run by run account for every simulated cycle.
-    let acct = cycle_bucket_totals();
+    // tallied run by run account for every simulated cycle.
+    let tally = session.into_tally();
     assert_eq!(
-        acct.sum(),
-        simulated_cycles(),
+        tally.account().sum(),
+        tally.sim_cycles(),
         "aggregate attribution identity violated across the full sweep"
     );
 

@@ -247,15 +247,11 @@ pub struct BlockCacheStats {
 }
 
 impl BlockCacheStats {
-    /// Counter-wise difference against an earlier snapshot (saturating),
-    /// turning process-lifetime totals into the counts of one window.
-    #[must_use]
-    pub fn minus(&self, earlier: &BlockCacheStats) -> BlockCacheStats {
-        BlockCacheStats {
-            hits: self.hits.saturating_sub(earlier.hits),
-            misses: self.misses.saturating_sub(earlier.misses),
-            invalidations: self.invalidations.saturating_sub(earlier.invalidations),
-        }
+    /// Adds another cache's counters into these.
+    pub fn merge(&mut self, other: &BlockCacheStats) {
+        self.hits += other.hits;
+        self.misses += other.misses;
+        self.invalidations += other.invalidations;
     }
 }
 

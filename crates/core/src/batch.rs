@@ -271,16 +271,10 @@ pub fn run_batch(items: Vec<BatchItem>) -> BatchReport {
         });
     }
 
-    let shared_blocks = shared
-        .iter()
-        .fold(BlockCacheStats::default(), |acc, c| {
-            let s = c.stats();
-            BlockCacheStats {
-                hits: acc.hits + s.hits,
-                misses: acc.misses + s.misses,
-                invalidations: acc.invalidations + s.invalidations,
-            }
-        });
+    let mut shared_blocks = BlockCacheStats::default();
+    for cache in &shared {
+        shared_blocks.merge(&cache.stats());
+    }
     let outcomes = systems
         .into_iter()
         .zip(results)

@@ -16,7 +16,6 @@ use std::thread;
 use dyser_compiler::{
     compile, CompileError, CompiledProgram, CompilerOptions, Function, Program, RegionReport,
 };
-use dyser_sparc::{CycleAccount, CycleBucket};
 use dyser_trace::TraceRun;
 
 use crate::batch::{run_batch, BatchEngine, BatchItem};
@@ -238,41 +237,10 @@ impl From<CompileError> for HarnessError {
     }
 }
 
-/// Simulated cycles accumulated by every [`run_program`] call in this
-/// process; the numerator of the harness's cycles-per-second throughput
-/// reported by `repro --time`.
-static SIM_CYCLES: AtomicU64 = AtomicU64::new(0);
-
-/// Total simulated cycles across all runs so far in this process.
-#[must_use]
-pub fn simulated_cycles() -> u64 {
-    SIM_CYCLES.load(Ordering::Relaxed)
-}
-
-/// Per-bucket cycle totals accumulated by every [`run_program`] call,
-/// indexed like [`CycleBucket::ALL`]. Together they account for every
-/// entry in [`SIM_CYCLES`] — the process-wide face of the attribution
-/// identity.
-static BUCKET_TOTALS: [AtomicU64; 9] = [const { AtomicU64::new(0) }; 9];
-
-/// The aggregate cycle attribution of every run so far in this process.
-///
-/// The returned account is balanced by construction: its `total_cycles`
-/// equals [`simulated_cycles`] sampled at the same moment the buckets
-/// were read (modulo races with concurrently finishing runs).
-#[must_use]
-pub fn cycle_bucket_totals() -> CycleAccount {
-    let mut acct = CycleAccount::default();
-    for (i, bucket) in CycleBucket::ALL.iter().enumerate() {
-        acct.add(*bucket, BUCKET_TOTALS[i].load(Ordering::Relaxed));
-    }
-    acct.total_cycles = acct.sum();
-    acct
-}
-
 /// Process-wide backend override: 0 = none (use each job's `RunConfig`),
-/// 1 = interpreted, 2 = compiled. Lets the CLI's `--backend` flag reach
-/// every run without threading through each experiment constructor.
+/// 1 = interpreted, 2 = compiled. The workspace's own drivers carry the
+/// backend in each `RunConfig` instead; the override remains for
+/// external callers that mirror the harness's engine choice.
 static BACKEND_OVERRIDE: AtomicU64 = AtomicU64::new(0);
 
 /// Forces every subsequent [`run_program`] call in this process onto the
@@ -287,10 +255,6 @@ pub fn set_backend_override(backend: Option<Backend>) {
 }
 
 /// The backend override currently in force (see [`set_backend_override`]).
-///
-/// Exposed so callers that memoize results keyed on effective
-/// configuration (the `repro` table cache) can fold the override into
-/// their keys.
 #[must_use]
 pub fn backend_override() -> Option<Backend> {
     match BACKEND_OVERRIDE.load(Ordering::Relaxed) {
@@ -300,83 +264,44 @@ pub fn backend_override() -> Option<Backend> {
     }
 }
 
-/// Simulator-speed counters (decode cache, block cache) accumulated by
-/// every [`run_program`] call, in [`SpeedStats`] field order: decode
-/// hits, decode misses, block hits, block misses, block invalidations.
-static SPEED_TOTALS: [AtomicU64; 5] = [const { AtomicU64::new(0) }; 5];
+/// A system configured by `config` with `program` loaded and `init`
+/// written to memory.
+fn load(
+    config: &RunConfig,
+    program: &Program,
+    init: &[(u64, Vec<u64>)],
+) -> Result<System, SysError> {
+    let mut sys = System::try_new(config.system.clone())?;
+    sys.load_program(program)?;
+    for (addr, words) in init {
+        sys.memory_mut().write_u64_slice(*addr, words);
+    }
+    Ok(sys)
+}
 
-/// The aggregate issue-path cache counters of every run so far in this
-/// process (see [`SpeedStats`]).
-#[must_use]
-pub fn speed_stat_totals() -> SpeedStats {
-    SpeedStats {
-        decode_hits: SPEED_TOTALS[0].load(Ordering::Relaxed),
-        decode_misses: SPEED_TOTALS[1].load(Ordering::Relaxed),
-        blocks: dyser_compiled::BlockCacheStats {
-            hits: SPEED_TOTALS[2].load(Ordering::Relaxed),
-            misses: SPEED_TOTALS[3].load(Ordering::Relaxed),
-            invalidations: SPEED_TOTALS[4].load(Ordering::Relaxed),
-        },
+/// The engine a run under `config` uses: the stepped reference path
+/// when asked for, otherwise the backend (the override, if set, wins).
+fn engine(config: &RunConfig) -> BatchEngine {
+    match (config.stepped, backend_override().unwrap_or(config.backend)) {
+        (true, _) => BatchEngine::Stepped,
+        (false, Backend::Interpreted) => BatchEngine::Interpreted,
+        (false, Backend::Compiled) => BatchEngine::Compiled,
     }
 }
 
-/// Ring-buffer capacity for event tracing in [`run_program`]; zero (the
-/// default) disables tracing entirely.
-static TRACE_CAP: AtomicUsize = AtomicUsize::new(0);
-
-/// Completed traces awaiting collection by [`take_traces`].
-static TRACE_SINK: Mutex<Vec<TraceRun>> = Mutex::new(Vec::new());
-
-/// Enables (capacity > 0) or disables (capacity == 0) event tracing for
-/// subsequent [`run_program`] calls in this process. Each run traces into
-/// per-component ring buffers of `capacity` events.
-pub fn set_trace_capacity(capacity: usize) {
-    TRACE_CAP.store(capacity, Ordering::Relaxed);
-}
-
-/// The event-tracing ring capacity currently in force (zero = disabled).
-/// Result caches consult this: a memoized replay would silently drop the
-/// trace the original run produced, so caching is bypassed while tracing.
-#[must_use]
-pub fn trace_capacity() -> usize {
-    TRACE_CAP.load(Ordering::Relaxed)
-}
-
-/// Drains every trace recorded since the last call, in run-completion
-/// order.
-#[must_use]
-pub fn take_traces() -> Vec<TraceRun> {
-    std::mem::take(&mut *TRACE_SINK.lock().expect("trace sink lock"))
-}
-
-/// Credits one finished run to the process-wide accounting: simulated
-/// cycles, cycle buckets, and issue-path cache counters. Every path that
-/// completes a simulation — serial or batched — must pass through here
-/// exactly once per run, so `repro --time` throughput and `repro stats`
-/// attribution describe the whole process regardless of scheduler.
-fn credit_run(stats: &RunStats, speed: &SpeedStats) {
-    for (slot, count) in SPEED_TOTALS.iter().zip([
-        speed.decode_hits,
-        speed.decode_misses,
-        speed.blocks.hits,
-        speed.blocks.misses,
-        speed.blocks.invalidations,
-    ]) {
-        slot.fetch_add(count, Ordering::Relaxed);
-    }
-    SIM_CYCLES.fetch_add(stats.cycles, Ordering::Relaxed);
-    let acct = stats.cycle_account();
-    for (i, bucket) in CycleBucket::ALL.iter().enumerate() {
-        BUCKET_TOTALS[i].fetch_add(acct.get(*bucket), Ordering::Relaxed);
+/// Runs a loaded system to completion on `config`'s engine.
+fn run_system(sys: &mut System, config: &RunConfig) -> Result<RunStats, SysError> {
+    match engine(config) {
+        BatchEngine::Stepped => sys.run_stepped(config.max_cycles),
+        BatchEngine::Interpreted => sys.run(config.max_cycles),
+        BatchEngine::Compiled => sys.run_compiled(config.max_cycles),
     }
 }
 
-/// Everything one simulated job produces beyond its verdict: the run
+/// Everything one simulated run produces beyond its verdict: the run
 /// statistics, the per-run issue-path cache counters, and (when the
-/// caller asked for one) the run's own trace — owned by the caller, not
-/// deposited in the process-global sink. The serve daemon's shard
-/// workers rely on this ownership: concurrent jobs must never interleave
-/// their artifacts through shared process state.
+/// caller asked for one) the run's own trace — all owned by the caller,
+/// so concurrent callers never interleave their counters or events.
 #[derive(Debug, Clone)]
 pub struct RunArtifacts {
     /// The run's statistics (bit-identical across backends).
@@ -392,12 +317,7 @@ pub struct RunArtifacts {
 ///
 /// `trace_capacity > 0` enables event tracing into per-component ring
 /// buffers of that many events; the merged trace comes back in the
-/// artifacts instead of the process-global sink, so concurrent callers
-/// each own exactly their job's events.
-///
-/// The process-wide accounting (simulated cycles, cycle buckets, speed
-/// totals) is still credited — those totals describe the whole process
-/// by design.
+/// artifacts.
 ///
 /// # Errors
 ///
@@ -412,28 +332,14 @@ pub fn run_program_traced(
     config: &RunConfig,
     trace_capacity: usize,
 ) -> Result<RunArtifacts, HarnessError> {
-    let mut sys =
-        System::try_new(config.system.clone()).map_err(|source| HarnessError::Run { which, source })?;
-    sys.load_program(program)
-        .map_err(|source| HarnessError::Run { which, source })?;
-    for (addr, words) in init {
-        sys.memory_mut().write_u64_slice(*addr, words);
-    }
+    let as_run = |source| HarnessError::Run { which, source };
+    let mut sys = load(config, program, init).map_err(as_run)?;
     sys.set_args(args);
     if trace_capacity > 0 {
         sys.enable_trace(trace_capacity);
     }
-    let run = if config.stepped {
-        sys.run_stepped(config.max_cycles)
-    } else {
-        match backend_override().unwrap_or(config.backend) {
-            Backend::Interpreted => sys.run(config.max_cycles),
-            Backend::Compiled => sys.run_compiled(config.max_cycles),
-        }
-    };
-    let stats = run.map_err(|source| HarnessError::Run { which, source })?;
+    let stats = run_system(&mut sys, config).map_err(as_run)?;
     let speed = sys.speed_stats();
-    credit_run(&stats, &speed);
     let trace = sys
         .take_trace()
         .map(|(events, dropped)| TraceRun { label: which.to_string(), events, dropped });
@@ -444,9 +350,7 @@ pub fn run_program_traced(
 /// Runs one already-compiled program (IR not required — manual DySER
 /// implementations use this too) and verifies its outputs.
 ///
-/// Tracing follows the process-wide capacity ([`set_trace_capacity`]);
-/// any recorded trace lands in the global sink for [`take_traces`]. Use
-/// [`run_program_traced`] to own the artifacts per call instead.
+/// [`run_program_traced`] without tracing, keeping only the statistics.
 ///
 /// # Errors
 ///
@@ -459,12 +363,7 @@ pub fn run_program(
     expected: &[(u64, Vec<u64>)],
     config: &RunConfig,
 ) -> Result<RunStats, HarnessError> {
-    let trace_cap = TRACE_CAP.load(Ordering::Relaxed);
-    let artifacts = run_program_traced(which, program, args, init, expected, config, trace_cap)?;
-    if let Some(run) = artifacts.trace {
-        TRACE_SINK.lock().expect("trace sink lock").push(run);
-    }
-    Ok(artifacts.stats)
+    run_program_traced(which, program, args, init, expected, config, 0).map(|a| a.stats)
 }
 
 /// Process-global cache of compiled programs.
@@ -501,41 +400,76 @@ pub fn compile_cached(
     Ok(Arc::clone(map.entry(key).or_insert(compiled)))
 }
 
+/// Runs the baseline leg on a scoped thread and the accelerated leg on
+/// this one, so a multi-core host overlaps the two independent
+/// simulations. Results and error priority (baseline first) are
+/// identical to running them back to back; a panic in either leg
+/// propagates with its original payload.
+fn both_legs<T: Send>(
+    programs: [&Program; 2],
+    leg: impl Fn(&'static str, &Program) -> Result<T, HarnessError> + Sync,
+) -> Result<[T; 2], HarnessError> {
+    let (base, dyser) = thread::scope(|s| {
+        let base = s.spawn(|| leg("baseline", programs[0]));
+        let dyser = leg("dyser", programs[1]);
+        (base.join().unwrap_or_else(|p| std::panic::resume_unwind(p)), dyser)
+    });
+    Ok([base?, dyser?])
+}
+
+/// Assembles a [`KernelResult`] from a compiled kernel's two verified
+/// legs.
+fn compiled_result(
+    name: &str,
+    compiled: &CompiledProgram,
+    [baseline, dyser]: [RunStats; 2],
+) -> KernelResult {
+    KernelResult {
+        name: name.to_owned(),
+        speedup: baseline.cycles as f64 / dyser.cycles.max(1) as f64,
+        accelerated_any: compiled.accelerated_any,
+        regions: compiled.regions.clone(),
+        code_sizes: (compiled.baseline.len(), compiled.accelerated.len()),
+        baseline,
+        dyser,
+    }
+}
+
 /// Compiles and runs `case` both ways; verifies both runs.
-///
-/// The two simulations are independent, so they execute on two scoped
-/// threads and a multi-core host overlaps them; results and error
-/// priority (baseline first) are identical to running them back to back.
 ///
 /// # Errors
 ///
 /// Fails on compile errors, run faults, or verification mismatches —
 /// a mismatch is a simulator or compiler bug, never tolerated.
 pub fn run_kernel(case: &KernelCase, config: &RunConfig) -> Result<KernelResult, HarnessError> {
+    run_kernel_traced(case, config, 0).map(|(result, _)| result)
+}
+
+/// [`run_kernel`], also returning each leg's [`RunArtifacts`] (baseline
+/// first). `trace_capacity` goes to [`run_program_traced`] for both legs.
+///
+/// # Errors
+///
+/// As [`run_kernel`].
+pub fn run_kernel_traced(
+    case: &KernelCase,
+    config: &RunConfig,
+    trace_capacity: usize,
+) -> Result<(KernelResult, [RunArtifacts; 2]), HarnessError> {
     let compiled = compile_cached(&case.function, &config.compiler)?;
-    let CompiledProgram { baseline, accelerated, regions, accelerated_any, .. } = &*compiled;
-
-    let (base_stats, dyser_stats) = thread::scope(|s| {
-        let base = s.spawn(|| {
-            run_program("baseline", baseline, &case.args, &case.init, &case.expected, config)
-        });
-        let dyser =
-            run_program("dyser", accelerated, &case.args, &case.init, &case.expected, config);
-        (base.join().expect("baseline run thread"), dyser)
-    });
-    let base_stats = base_stats?;
-    let dyser_stats = dyser_stats?;
-
-    let speedup = base_stats.cycles as f64 / dyser_stats.cycles.max(1) as f64;
-    Ok(KernelResult {
-        name: case.name.clone(),
-        speedup,
-        accelerated_any: *accelerated_any,
-        regions: regions.clone(),
-        code_sizes: (baseline.len(), accelerated.len()),
-        baseline: base_stats,
-        dyser: dyser_stats,
-    })
+    let legs = both_legs([&compiled.baseline, &compiled.accelerated], |which, program| {
+        run_program_traced(
+            which,
+            program,
+            &case.args,
+            &case.init,
+            &case.expected,
+            config,
+            trace_capacity,
+        )
+    })?;
+    let result = compiled_result(&case.name, &compiled, legs.each_ref().map(|a| a.stats.clone()));
+    Ok((result, legs))
 }
 
 /// One queued kernel experiment: the case plus the configuration to run
@@ -553,9 +487,10 @@ pub fn default_workers() -> usize {
 /// Workers claim items from a shared atomic index and write each outcome
 /// into the slot matching its input position, so the returned vector is
 /// in item order — bit-identical to mapping serially — no matter which
-/// worker finished first. `threads` is clamped to `1..=items.len()`.
-/// This is the work-stealing pool behind [`run_kernels`] and the fuzz
-/// campaign driver.
+/// worker finished first. `threads` is clamped to `1..=items.len()`;
+/// a single worker maps on the calling thread. This is the
+/// work-stealing pool behind [`run_kernels`] and the fuzz campaign
+/// driver.
 pub fn parallel_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
 where
     T: Sync,
@@ -563,6 +498,9 @@ where
     F: Fn(&T) -> R + Sync,
 {
     let threads = threads.clamp(1, items.len().max(1));
+    if threads == 1 {
+        return items.iter().map(f).collect();
+    }
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
     thread::scope(|s| {
@@ -600,17 +538,11 @@ const BATCH_JOBS: usize = 16;
 /// Results — values, statistics, and error priority (compile, then
 /// baseline, then dyser; run errors before mismatches per leg) — are
 /// identical to [`run_kernels`]. Compiled-backend legs running the same
-/// program text share one translated-block cache per chunk. When
-/// process-wide tracing is enabled ([`set_trace_capacity`]) the jobs
-/// fall back to the serial harness, which owns the per-run ring-buffer
-/// plumbing.
+/// program text share one translated-block cache per chunk.
 pub fn run_kernel_batch(
     jobs: &[KernelJob],
     threads: usize,
 ) -> Vec<Result<KernelResult, HarnessError>> {
-    if TRACE_CAP.load(Ordering::Relaxed) > 0 {
-        return run_kernels(jobs, threads);
-    }
     let chunks: Vec<&[KernelJob]> = jobs.chunks(BATCH_JOBS).collect();
     parallel_map(&chunks, threads, |chunk| run_kernel_batch_chunk(chunk))
         .into_iter()
@@ -635,30 +567,15 @@ fn run_kernel_batch_chunk(jobs: &[KernelJob]) -> Vec<Result<KernelResult, Harnes
 
     for (j, ((case, config), compiled)) in jobs.iter().zip(&compiled).enumerate() {
         let Ok(compiled) = compiled else { continue };
-        let engine = if config.stepped {
-            BatchEngine::Stepped
-        } else {
-            match backend_override().unwrap_or(config.backend) {
-                Backend::Interpreted => BatchEngine::Interpreted,
-                Backend::Compiled => BatchEngine::Compiled,
-            }
-        };
+        let engine = engine(config);
         for (leg, program) in [&compiled.baseline, &compiled.accelerated].into_iter().enumerate() {
-            let built = (|| -> Result<System, SysError> {
-                let mut sys = System::try_new(config.system.clone())?;
-                sys.load_program(program)?;
-                for (addr, words) in &case.init {
-                    sys.memory_mut().write_u64_slice(*addr, words);
-                }
-                sys.set_args(&case.args);
-                Ok(sys)
-            })();
-            match built {
+            match load(config, program, &case.init) {
                 Err(source) => {
                     leg_results[j][leg] =
                         Some(Err(HarnessError::Run { which: LEGS[leg], source }));
                 }
-                Ok(system) => {
+                Ok(mut system) => {
+                    system.set_args(&case.args);
                     // Legs with identical program text and L1I line size
                     // (same compiled Arc — alive for this whole chunk —
                     // plus the leg selecting baseline vs accelerated)
@@ -685,19 +602,9 @@ fn run_kernel_batch_chunk(jobs: &[KernelJob]) -> Vec<Result<KernelResult, Harnes
         leg_results[j][leg] = Some(match &outcome.result {
             Err(source) => Err(HarnessError::Run { which, source: source.clone() }),
             Ok(stats) => {
-                credit_run(stats, &outcome.system.speed_stats());
                 verify_expected(&outcome.system, &case.expected, which).map(|()| stats.clone())
             }
         });
-    }
-    // The shared caches' counters belong to the whole chunk; credit them
-    // once so `speed_stat_totals` keeps covering every block dispatch.
-    for (slot, count) in SPEED_TOTALS[2..].iter().zip([
-        report.shared_blocks.hits,
-        report.shared_blocks.misses,
-        report.shared_blocks.invalidations,
-    ]) {
-        slot.fetch_add(count, Ordering::Relaxed);
     }
 
     jobs.iter()
@@ -705,19 +612,9 @@ fn run_kernel_batch_chunk(jobs: &[KernelJob]) -> Vec<Result<KernelResult, Harnes
         .zip(leg_results)
         .map(|(((case, _), compiled), [base, dyser])| {
             let compiled = compiled?;
-            let base_stats = base.expect("baseline leg resolved")?;
-            let dyser_stats = dyser.expect("dyser leg resolved")?;
-            let CompiledProgram { baseline, accelerated, regions, accelerated_any, .. } = &*compiled;
-            let speedup = base_stats.cycles as f64 / dyser_stats.cycles.max(1) as f64;
-            Ok(KernelResult {
-                name: case.name.clone(),
-                speedup,
-                accelerated_any: *accelerated_any,
-                regions: regions.clone(),
-                code_sizes: (baseline.len(), accelerated.len()),
-                baseline: base_stats,
-                dyser: dyser_stats,
-            })
+            let base = base.expect("baseline leg resolved")?;
+            let dyser = dyser.expect("dyser leg resolved")?;
+            Ok(compiled_result(&case.name, &compiled, [base, dyser]))
         })
         .collect()
 }
@@ -752,11 +649,14 @@ pub struct ProgramCase {
 }
 
 /// Everything one whole-program run produces: the (backend-bit-identical)
-/// run statistics and the process outputs.
+/// run statistics, the issue-path cache counters, and the process
+/// outputs.
 #[derive(Debug, Clone)]
 pub struct ProgramRun {
     /// The run's statistics.
     pub stats: RunStats,
+    /// This run's issue-path cache counters (decode and block caches).
+    pub speed: SpeedStats,
     /// Captured stdout bytes.
     pub stdout: Vec<u8>,
     /// Captured stderr bytes.
@@ -769,8 +669,7 @@ pub struct ProgramRun {
 /// stack, proxy kernel, trap-and-emulate syscalls — and verifies its
 /// memory, stdout, and exit code against the references.
 ///
-/// The backend follows `config` exactly like [`run_program`]; stats are
-/// credited to the process-wide accounting.
+/// The backend follows `config` exactly like [`run_program`].
 ///
 /// # Errors
 ///
@@ -783,24 +682,11 @@ pub fn run_whole_program(
     config: &RunConfig,
 ) -> Result<ProgramRun, HarnessError> {
     let as_run = |source| HarnessError::Run { which, source };
-    let mut sys = System::try_new(config.system.clone()).map_err(as_run)?;
-    sys.load_program(program).map_err(as_run)?;
-    for (addr, words) in &case.init {
-        sys.memory_mut().write_u64_slice(*addr, words);
-    }
+    let mut sys = load(config, program, &case.init).map_err(as_run)?;
     let argv: Vec<&str> = case.argv.iter().map(String::as_str).collect();
     let envp: Vec<&str> = case.envp.iter().map(String::as_str).collect();
     sys.setup_process(&argv, &envp, &case.stdin);
-    let outcome = if config.stepped {
-        sys.run_stepped(config.max_cycles)
-    } else {
-        match backend_override().unwrap_or(config.backend) {
-            Backend::Interpreted => sys.run(config.max_cycles),
-            Backend::Compiled => sys.run_compiled(config.max_cycles),
-        }
-    };
-    let stats = outcome.map_err(as_run)?;
-    credit_run(&stats, &sys.speed_stats());
+    let stats = run_system(&mut sys, config).map_err(as_run)?;
     verify_expected(&sys, &case.expected, which)?;
     let got_exit = sys.kernel().exit_code().unwrap_or(0);
     if got_exit != case.expected_exit {
@@ -819,6 +705,7 @@ pub fn run_whole_program(
     }
     Ok(ProgramRun {
         stats,
+        speed: sys.speed_stats(),
         stdout: sys.kernel().stdout().to_vec(),
         stderr: sys.kernel().stderr().to_vec(),
         exit_code: got_exit,
@@ -836,23 +723,33 @@ pub fn run_program_case(
     case: &ProgramCase,
     config: &RunConfig,
 ) -> Result<KernelResult, HarnessError> {
-    let (base, dyser) = thread::scope(|s| {
-        let b = s.spawn(|| run_whole_program("baseline", &case.baseline, case, config));
-        let d = run_whole_program("dyser", &case.accelerated, case, config);
-        (b.join().expect("baseline run thread"), d)
-    });
-    let base = base?;
-    let dyser = dyser?;
-    let speedup = base.stats.cycles as f64 / dyser.stats.cycles.max(1) as f64;
-    Ok(KernelResult {
+    run_program_case_legs(case, config).map(|(result, _)| result)
+}
+
+/// [`run_program_case`], also returning each leg's [`ProgramRun`]
+/// (baseline first).
+///
+/// # Errors
+///
+/// As [`run_program_case`].
+pub fn run_program_case_legs(
+    case: &ProgramCase,
+    config: &RunConfig,
+) -> Result<(KernelResult, [ProgramRun; 2]), HarnessError> {
+    let legs = both_legs([&case.baseline, &case.accelerated], |which, program| {
+        run_whole_program(which, program, case, config)
+    })?;
+    let [baseline, dyser] = legs.each_ref().map(|run| run.stats.clone());
+    let result = KernelResult {
         name: case.name.clone(),
-        speedup,
+        speedup: baseline.cycles as f64 / dyser.cycles.max(1) as f64,
         accelerated_any: true,
         regions: Vec::new(),
         code_sizes: (case.baseline.len(), case.accelerated.len()),
-        baseline: base.stats,
-        dyser: dyser.stats,
-    })
+        baseline,
+        dyser,
+    };
+    Ok((result, legs))
 }
 
 /// Checks every expected output buffer against the system's memory,

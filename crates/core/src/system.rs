@@ -312,19 +312,11 @@ pub struct SpeedStats {
 }
 
 impl SpeedStats {
-    /// Counter-wise difference against an earlier snapshot (saturating).
-    ///
-    /// The process-wide totals (see `speed_stat_totals`) only ever grow;
-    /// reports that claim to describe *one* sweep must subtract the
-    /// totals sampled before it, or every earlier run in the process
-    /// inflates the hit rates.
-    #[must_use]
-    pub fn minus(&self, earlier: &SpeedStats) -> SpeedStats {
-        SpeedStats {
-            decode_hits: self.decode_hits.saturating_sub(earlier.decode_hits),
-            decode_misses: self.decode_misses.saturating_sub(earlier.decode_misses),
-            blocks: self.blocks.minus(&earlier.blocks),
-        }
+    /// Adds another run's counters into these.
+    pub fn merge(&mut self, other: &SpeedStats) {
+        self.decode_hits += other.decode_hits;
+        self.decode_misses += other.decode_misses;
+        self.blocks.merge(&other.blocks);
     }
 }
 

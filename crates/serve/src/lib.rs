@@ -10,7 +10,9 @@
 //!
 //! * [`Server`] — a TCP listener, a bounded admission queue, and
 //!   `shards` worker threads draining it. A full queue turns into a
-//!   structured `overloaded` reply, not a hung connection.
+//!   structured `overloaded` reply, not a hung connection. The running
+//!   server owns what its shards share besides the compile cache: the
+//!   completed-job count and one result memo for experiment jobs.
 //! * [`execute_job`] — runs one [`JobRequest`] to completion. Every
 //!   failure mode (unknown kernel, impossible hardware description,
 //!   compile error, mid-run cycle-budget timeout, output mismatch, even
@@ -29,44 +31,28 @@ use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex, PoisonError, RwLock};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread;
 
 use dyser_bench::dse::{point_sim, DsePoint, FuMix, MemPreset};
-use dyser_bench::experiments::{run_experiment_scaled, PROGRAM_N, SEED};
+use dyser_bench::experiments::{PROGRAM_N, SEED};
 use dyser_bench::serve::{
     envelope_json, read_http_request, write_http_response, HttpRequest, JobError, JobRequest,
     JobResult, RunSpec, SystemSpec, DEFAULT_JOB_CYCLES,
 };
-use dyser_bench::{stats_attribution, Scale, EXPERIMENT_IDS};
+use dyser_bench::{ResultMemo, Scale, Session, EXPERIMENT_IDS};
 use dyser_compiler::ir::parser::parse_module;
 use dyser_compiler::CompilerOptions;
-use dyser_core::{
-    compile_cached, run_program_traced, set_backend_override, Backend, HarnessError, KernelCase,
-    RunArtifacts, RunConfig,
-};
+use dyser_core::{run_kernel_traced, HarnessError, KernelCase, RunConfig};
 use dyser_fabric::FabricGeometry;
 use dyser_sparc::CycleBucket;
 use dyser_trace::{chrome_trace_json, TraceRun};
+use dyser_workloads::programs::MAX_STDIN_WORDS;
 use dyser_workloads::suite;
 
 /// Per-component ring-buffer capacity for jobs that request a trace —
 /// the same capacity `repro --trace` uses.
 const TRACE_EVENTS: usize = 65_536;
-
-/// Jobs completed by this process (successes and typed failures alike);
-/// reported by `GET /health`.
-static JOBS_DONE: AtomicU64 = AtomicU64::new(0);
-
-/// Serializes use of the process-global backend override against every
-/// other job. An experiment job that needs a non-default global backend
-/// (its runs happen deep inside `run_experiment_scaled`, which builds
-/// its own `RunConfig`s) takes the write side while the override is set;
-/// every other job takes the read side, so it can never observe — or be
-/// reconfigured by — another job's override. Kernel and IR jobs never
-/// need the override at all: their backend choice travels in their own
-/// `RunConfig`.
-static BACKEND_GATE: RwLock<()> = RwLock::new(());
 
 // ------------------------------------------------------- configuration
 
@@ -111,26 +97,9 @@ fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Runs `f` under the backend gate: with `backend` set, exclusively with
-/// the process-global override installed (and removed again before the
-/// lock drops); otherwise shared. Panics inside `f` become
-/// [`JobError::Internal`] — the gate's guards are never poisoned because
-/// the unwind is caught inside them.
-fn gated<R>(backend: Option<Backend>, f: impl FnOnce() -> R) -> Result<R, JobError> {
-    let caught = match backend {
-        Some(b) => {
-            let _g = BACKEND_GATE.write().unwrap_or_else(PoisonError::into_inner);
-            set_backend_override(Some(b));
-            let out = catch_unwind(AssertUnwindSafe(f));
-            set_backend_override(None);
-            out
-        }
-        None => {
-            let _g = BACKEND_GATE.read().unwrap_or_else(PoisonError::into_inner);
-            catch_unwind(AssertUnwindSafe(f))
-        }
-    };
-    caught.map_err(|p| JobError::Internal(panic_message(&*p)))
+/// Runs `f`, turning a panic inside it into [`JobError::Internal`].
+fn caught<R>(f: impl FnOnce() -> R) -> Result<R, JobError> {
+    catch_unwind(AssertUnwindSafe(f)).map_err(|p| JobError::Internal(panic_message(&*p)))
 }
 
 /// Builds the `RunConfig` for a kernel or IR job, validating the
@@ -162,79 +131,39 @@ fn build_run_config(
     Ok(rc)
 }
 
-/// Unwraps one run thread's outcome into the wire taxonomy.
-fn join_run(
-    joined: thread::Result<Result<RunArtifacts, HarnessError>>,
-) -> Result<RunArtifacts, JobError> {
-    match joined {
-        Ok(Ok(artifacts)) => Ok(artifacts),
-        Ok(Err(e)) => Err(JobError::from_harness(&e)),
-        Err(p) => Err(JobError::Internal(panic_message(&*p))),
-    }
-}
-
-/// Compiles `case` through the shared compile cache and runs baseline
-/// and accelerated binaries on two scoped threads — the same shape as
-/// the in-process `run_kernel`, but returning caller-owned artifacts so
-/// concurrent jobs never interleave traces or counters.
-fn dual_run(case: &KernelCase, config: &RunConfig, trace: bool) -> Result<JobResult, JobError> {
-    let compiled = compile_cached(&case.function, &config.compiler)
-        .map_err(|e| JobError::Compile(e.to_string()))?;
+/// Runs a kernel or IR job through [`run_kernel_traced`] and shapes the
+/// wire result, with the chrome trace of both legs when asked for.
+fn kernel_job(case: &KernelCase, config: &RunConfig, trace: bool) -> Result<JobResult, JobError> {
     let capacity = if trace { TRACE_EVENTS } else { 0 };
-    let (base, dyser) = thread::scope(|s| {
-        let base = s.spawn(|| {
-            run_program_traced(
-                "baseline",
-                &compiled.baseline,
-                &case.args,
-                &case.init,
-                &case.expected,
-                config,
-                capacity,
-            )
-        });
-        let dyser = run_program_traced(
-            "dyser",
-            &compiled.accelerated,
-            &case.args,
-            &case.init,
-            &case.expected,
-            config,
-            capacity,
-        );
-        (join_run(base.join()), dyser.map_err(|e| JobError::from_harness(&e)))
-    });
-    let base = base?;
-    let dyser = dyser?;
+    let (result, [base, dyser]) =
+        run_kernel_traced(case, config, capacity).map_err(|e| JobError::from_harness(&e))?;
 
-    let account = dyser.stats.core.cycle_account();
+    let account = result.dyser.core.cycle_account();
     let mut buckets: Vec<(String, u64)> = CycleBucket::ALL
         .iter()
         .map(|b| (b.label().to_owned(), account.get(*b)))
         .collect();
     buckets.push(("total".to_owned(), account.total_cycles));
 
-    let trace_json = if trace {
-        let runs: Vec<TraceRun> =
-            [base.trace, dyser.trace].into_iter().flatten().collect();
-        Some(chrome_trace_json(&runs))
-    } else {
-        None
-    };
+    let trace_json = trace.then(|| {
+        let runs: Vec<TraceRun> = [base.trace, dyser.trace].into_iter().flatten().collect();
+        chrome_trace_json(&runs)
+    });
 
     Ok(JobResult::Run {
-        name: case.name.clone(),
-        baseline_cycles: base.stats.cycles,
-        dyser_cycles: dyser.stats.cycles,
-        speedup: base.stats.cycles as f64 / dyser.stats.cycles.max(1) as f64,
-        baseline_stats: format!("{:?}", base.stats),
-        dyser_stats: format!("{:?}", dyser.stats),
+        name: result.name,
+        baseline_cycles: result.baseline.cycles,
+        dyser_cycles: result.dyser.cycles,
+        speedup: result.speedup,
+        baseline_stats: format!("{:?}", result.baseline),
+        dyser_stats: format!("{:?}", result.dyser),
         buckets,
         trace_json,
     })
 }
 
-/// Executes one job to completion.
+/// Executes one job to completion; an experiment job runs in a
+/// [`Session`] of its own with an empty result memo.
 ///
 /// # Errors
 ///
@@ -242,6 +171,15 @@ fn dual_run(case: &KernelCase, config: &RunConfig, trace: bool) -> Result<JobRes
 /// panics on malformed or impossible jobs (panics from simulator bugs
 /// are caught and surfaced as [`JobError::Internal`]).
 pub fn execute_job(job: &JobRequest, max_cycles_cap: u64) -> Result<JobResult, JobError> {
+    execute(job, max_cycles_cap, &Arc::default())
+}
+
+/// [`execute_job`], with experiment jobs reading and filling `memo`.
+fn execute(
+    job: &JobRequest,
+    max_cycles_cap: u64,
+    memo: &Arc<ResultMemo>,
+) -> Result<JobResult, JobError> {
     match job {
         JobRequest::Experiment { id, csv, scale, backend } => {
             if id != "stats" && !EXPERIMENT_IDS.contains(&id.as_str()) {
@@ -252,14 +190,10 @@ pub fn execute_job(job: &JobRequest, max_cycles_cap: u64) -> Result<JobResult, J
                     "scale {scale} is outside (0, 1]"
                 )));
             }
-            let (id, csv, scale) = (id.clone(), *csv, Scale(*scale));
-            gated(*backend, move || {
-                let table = if id == "stats" {
-                    stats_attribution(scale)
-                } else {
-                    run_experiment_scaled(&id, scale)
-                };
-                if csv {
+            let session = Session::sharing(backend.unwrap_or_default(), Arc::clone(memo));
+            caught(|| {
+                let table = session.run(id, Scale(*scale));
+                if *csv {
                     table.to_csv()
                 } else {
                     table.to_string()
@@ -274,7 +208,7 @@ pub fn execute_job(job: &JobRequest, max_cycles_cap: u64) -> Result<JobResult, J
             let mut rc = build_run_config(run, system, max_cycles_cap)?;
             rc.compiler = kernel.compiler_options(rc.system.geometry);
             let case = kernel.case(n.unwrap_or(kernel.default_n), SEED);
-            gated(None, || dual_run(&case, &rc, run.trace))?
+            caught(|| kernel_job(&case, &rc, run.trace))?
         }
         JobRequest::Ir { text, function, args, init, expected, run, system } => {
             let module = parse_module(text)
@@ -297,16 +231,16 @@ pub fn execute_job(job: &JobRequest, max_cycles_cap: u64) -> Result<JobResult, J
                 init: init.clone(),
                 expected: expected.clone(),
             };
-            gated(None, || dual_run(&case, &rc, run.trace))?
+            caught(|| kernel_job(&case, &rc, run.trace))?
         }
         JobRequest::Program { name, n, run } => {
             let Some(build) = dyser_workloads::programs::by_name(name) else {
                 return Err(JobError::UnknownKernel(name.clone()));
             };
             let n = n.unwrap_or(PROGRAM_N);
-            if n < 8 || n % 4 != 0 {
+            if n < 8 || n % 4 != 0 || n > MAX_STDIN_WORDS {
                 return Err(JobError::InvalidRequest(format!(
-                    "program `n` must be a multiple of 4 and at least 8, got {n}"
+                    "program `n` must be a multiple of 4 in 8..={MAX_STDIN_WORDS}, got {n}"
                 )));
             }
             let mut rc = build_run_config(run, &SystemSpec::default(), max_cycles_cap)?;
@@ -315,7 +249,7 @@ pub fn execute_job(job: &JobRequest, max_cycles_cap: u64) -> Result<JobResult, J
                 .ok_or_else(|| {
                     JobError::InvalidConfig(format!("fabric too small for program `{name}`"))
                 })?;
-            let outcome = gated(None, || {
+            let outcome = caught(|| {
                 let base = dyser_core::run_whole_program("baseline", &case.baseline, &case, &rc)?;
                 let dyser = dyser_core::run_whole_program("dyser", &case.accelerated, &case, &rc)?;
                 Ok::<_, HarnessError>((base, dyser))
@@ -332,7 +266,7 @@ pub fn execute_job(job: &JobRequest, max_cycles_cap: u64) -> Result<JobResult, J
         }
         JobRequest::DsePoint { .. } => {
             let (case, rc, fu_sites, kernel) = dse_point_inputs(job, max_cycles_cap)?;
-            let result = gated(None, || dyser_core::run_kernel(&case, &rc))?
+            let result = caught(|| dyser_core::run_kernel(&case, &rc))?
                 .map_err(|e| JobError::from_harness(&e))?;
             Ok(dse_point_result(kernel, &point_sim(&result, fu_sites)))
         }
@@ -400,7 +334,7 @@ fn execute_dse_batch(
         .flatten()
         .map(|(case, rc, _, _)| (case.clone(), rc.clone()))
         .collect();
-    match gated(None, || dyser_core::run_kernel_batch(&runnable, 1)) {
+    match caught(|| dyser_core::run_kernel_batch(&runnable, 1)) {
         Ok(results) => {
             let mut results = results.into_iter();
             inputs
@@ -470,16 +404,35 @@ impl AdmissionQueue {
     }
 }
 
-/// The daemon's health document.
-fn health_json(config: &ServeConfig) -> String {
-    format!(
-        "{{\"ok\": true, \"shards\": {}, \"queue_depth\": {}, \"max_cycles_cap\": {}, \
-         \"jobs_done\": {}}}\n",
-        config.shards,
-        config.queue_depth,
-        config.max_cycles_cap,
-        JOBS_DONE.load(Ordering::Relaxed)
-    )
+/// What a running server's shards share.
+struct Shared<'a> {
+    config: &'a ServeConfig,
+    queue: AdmissionQueue,
+    /// Jobs completed (successes and typed failures alike); reported by
+    /// `GET /health`.
+    jobs_done: AtomicU64,
+    /// Kernel results reused across experiment jobs.
+    memo: Arc<ResultMemo>,
+}
+
+impl Shared<'_> {
+    /// The daemon's health document.
+    fn health_json(&self) -> String {
+        format!(
+            "{{\"ok\": true, \"shards\": {}, \"queue_depth\": {}, \"max_cycles_cap\": {}, \
+             \"jobs_done\": {}}}\n",
+            self.config.shards,
+            self.config.queue_depth,
+            self.config.max_cycles_cap,
+            self.jobs_done.load(Ordering::Relaxed)
+        )
+    }
+
+    /// Writes one finished job's outcome envelope, counting the job.
+    fn finish(&self, stream: &mut TcpStream, outcome: &Result<JobResult, JobError>) {
+        self.jobs_done.fetch_add(1, Ordering::Relaxed);
+        respond(stream, outcome);
+    }
 }
 
 /// Writes the outcome envelope; a failed write is ignored (the peer is
@@ -495,12 +448,12 @@ fn respond(stream: &mut TcpStream, outcome: &Result<JobResult, JobError>) {
 /// chunk.
 const BATCH_DRAIN: usize = 15;
 
-/// Services one accepted connection end to end. With a queue in hand, a
+/// Services one accepted connection end to end. With `drain` set, a
 /// worker that picks up a `DsePoint` job first drains compatible queued
 /// jobs and steps the whole slice in lockstep; drained connections that
-/// turn out to be anything else are serviced individually (`queue:
-/// None`, so a drained batchable job never re-drains).
-fn handle_connection(mut stream: TcpStream, queue: Option<&AdmissionQueue>, config: &ServeConfig) {
+/// turn out to be anything else are serviced individually (`drain`
+/// unset, so a drained batchable job never re-drains).
+fn handle_connection(mut stream: TcpStream, shared: &Shared, drain: bool) {
     let request = match read_http_request(&mut stream) {
         Ok(r) => r,
         Err(e) => {
@@ -508,28 +461,21 @@ fn handle_connection(mut stream: TcpStream, queue: Option<&AdmissionQueue>, conf
             return;
         }
     };
-    handle_request(stream, &request, queue, config);
+    handle_request(stream, &request, shared, drain);
 }
 
 /// Dispatches one parsed HTTP request.
-fn handle_request(
-    mut stream: TcpStream,
-    request: &HttpRequest,
-    queue: Option<&AdmissionQueue>,
-    config: &ServeConfig,
-) {
+fn handle_request(mut stream: TcpStream, request: &HttpRequest, shared: &Shared, drain: bool) {
     match (request.method.as_str(), request.path.as_str()) {
         ("GET", "/health") => {
-            let _ = write_http_response(&mut stream, 200, &health_json(config));
+            let _ = write_http_response(&mut stream, 200, &shared.health_json());
         }
-        ("POST", "/job") => match (JobRequest::parse(&request.body), queue) {
-            (Ok(job @ JobRequest::DsePoint { .. }), Some(queue)) => {
-                batch_dse(stream, job, queue, config);
-            }
-            (outcome, _) => {
-                let outcome = outcome.and_then(|job| execute_job(&job, config.max_cycles_cap));
-                JOBS_DONE.fetch_add(1, Ordering::Relaxed);
-                respond(&mut stream, &outcome);
+        ("POST", "/job") => match JobRequest::parse(&request.body) {
+            Ok(job @ JobRequest::DsePoint { .. }) if drain => batch_dse(stream, job, shared),
+            outcome => {
+                let cap = shared.config.max_cycles_cap;
+                let outcome = outcome.and_then(|job| execute(&job, cap, &shared.memo));
+                shared.finish(&mut stream, &outcome);
             }
         },
         (_, "/job") => {
@@ -543,25 +489,24 @@ fn handle_request(
 
 /// Drains compatible queued jobs behind `job` and executes the slice as
 /// one lockstep batch, replying to every member.
-fn batch_dse(stream: TcpStream, job: JobRequest, queue: &AdmissionQueue, config: &ServeConfig) {
+fn batch_dse(stream: TcpStream, job: JobRequest, shared: &Shared) {
     let mut members: Vec<(TcpStream, JobRequest)> = vec![(stream, job)];
-    for mut extra in queue.try_drain(BATCH_DRAIN) {
+    for mut extra in shared.queue.try_drain(BATCH_DRAIN) {
         match read_http_request(&mut extra) {
             Ok(req) if req.method == "POST" && req.path == "/job" => {
                 match JobRequest::parse(&req.body) {
                     Ok(j @ JobRequest::DsePoint { .. }) => members.push((extra, j)),
-                    _ => handle_request(extra, &req, None, config),
+                    _ => handle_request(extra, &req, shared, false),
                 }
             }
-            Ok(req) => handle_request(extra, &req, None, config),
+            Ok(req) => handle_request(extra, &req, shared, false),
             Err(e) => respond(&mut extra, &Err(e)),
         }
     }
     let jobs: Vec<JobRequest> = members.iter().map(|(_, j)| j.clone()).collect();
-    let outcomes = execute_dse_batch(&jobs, config.max_cycles_cap);
+    let outcomes = execute_dse_batch(&jobs, shared.config.max_cycles_cap);
     for ((mut member, _), outcome) in members.into_iter().zip(outcomes) {
-        JOBS_DONE.fetch_add(1, Ordering::Relaxed);
-        respond(&mut member, &outcome);
+        shared.finish(&mut member, &outcome);
     }
 }
 
@@ -610,17 +555,22 @@ impl Server {
     /// Runs the accept loop and worker shards forever (until the
     /// process exits).
     pub fn run(self) {
-        let queue = AdmissionQueue::new(self.config.queue_depth);
         let config = &self.config;
+        let shared = Shared {
+            config,
+            queue: AdmissionQueue::new(config.queue_depth),
+            jobs_done: AtomicU64::new(0),
+            memo: Arc::default(),
+        };
         thread::scope(|s| {
             for _ in 0..config.shards.max(1) {
                 s.spawn(|| loop {
-                    handle_connection(queue.pop(), Some(&queue), config);
+                    handle_connection(shared.queue.pop(), &shared, true);
                 });
             }
             for conn in self.listener.incoming() {
                 let Ok(stream) = conn else { continue };
-                if let Err(mut rejected) = queue.push(stream) {
+                if let Err(mut rejected) = shared.queue.push(stream) {
                     let err = JobError::Overloaded(format!(
                         "admission queue of depth {} is full",
                         config.queue_depth

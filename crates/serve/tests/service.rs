@@ -3,6 +3,7 @@
 //! runs, budgets must be enforced mid-job, and malformed or impossible
 //! jobs must come back as typed errors without taking a worker down.
 
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::thread;
 
@@ -14,16 +15,16 @@ use dyser_bench::serve::{
 use dyser_bench::{stats_attribution, Scale, EXPERIMENT_IDS};
 use dyser_core::{run_kernel, Backend, RunConfig};
 use dyser_serve::{execute_job, ServeConfig, Server};
+use dyser_workloads::programs::MAX_STDIN_WORDS;
 use dyser_workloads::suite;
 
 /// Experiment scale for the service tests: small enough for debug-mode
 /// CI, large enough that every kernel actually simulates.
 const SCALE: f64 = 0.08;
 
-/// The tests in this file share process-global state (the compile
-/// cache, the backend gate, the speed-stat counters); run them one at a
-/// time so each test's concurrency is exactly the concurrency it
-/// arranged itself.
+/// The tests in this file share the process-wide compile cache and the
+/// host's cores; run them one at a time so each test's concurrency is
+/// exactly the concurrency it arranged itself.
 static SERIAL: Mutex<()> = Mutex::new(());
 
 fn lock() -> std::sync::MutexGuard<'static, ()> {
@@ -540,5 +541,73 @@ fn queued_dse_point_jobs_batch_and_stay_bit_identical() {
             }
             other => panic!("batched dse-point job failed: {other:?}"),
         }
+    }
+}
+
+#[test]
+fn stats_job_under_kernel_load_matches_a_quiet_sweep() {
+    let _g = lock();
+    let quiet = stats_attribution(Scale(SCALE)).to_string();
+    let url = spawn_server(2);
+    // Fill the daemon's shared memo with the suite the stats sweep runs
+    // too: a sweep that replayed it would report idle issue-path caches.
+    let e3 = JobRequest::Experiment { id: "e3".into(), csv: false, scale: SCALE, backend: None };
+    assert!(matches!(submit(&url, &e3), Ok(JobResult::Experiment { .. })));
+
+    let stop = AtomicBool::new(false);
+    let kernel_jobs = AtomicU64::new(0);
+    let served = thread::scope(|s| {
+        s.spawn(|| {
+            let job = JobRequest::Kernel {
+                name: suite()[0].name.to_owned(),
+                n: Some(64),
+                run: RunSpec::default(),
+                system: SystemSpec::default(),
+            };
+            while !stop.load(Ordering::Relaxed) {
+                assert!(matches!(submit(&url, &job), Ok(JobResult::Run { .. })));
+                kernel_jobs.fetch_add(1, Ordering::Relaxed);
+            }
+        });
+        while kernel_jobs.load(Ordering::Relaxed) == 0 {
+            thread::yield_now();
+        }
+        let stats = JobRequest::Experiment {
+            id: "stats".into(),
+            csv: false,
+            scale: SCALE,
+            backend: None,
+        };
+        let served = submit(&url, &stats);
+        stop.store(true, Ordering::Relaxed);
+        served
+    });
+    assert!(kernel_jobs.load(Ordering::Relaxed) > 1, "the kernel load ran beside the sweep");
+    match served {
+        Ok(JobResult::Experiment { text }) => {
+            assert_eq!(text, quiet, "a stats job under load diverged from a quiet sweep");
+        }
+        other => panic!("stats job failed: {other:?}"),
+    }
+}
+
+#[test]
+fn program_jobs_reject_n_above_the_stdin_capacity() {
+    let _g = lock();
+    let url = spawn_server(1);
+    let job = |n| JobRequest::Program { name: "p1".into(), n: Some(n), run: RunSpec::default() };
+    match submit(&url, &job(MAX_STDIN_WORDS + 4)) {
+        Err(JobError::InvalidRequest(message)) => {
+            assert!(message.contains(&MAX_STDIN_WORDS.to_string()), "{message}");
+        }
+        other => panic!("expected invalid-request, got {other:?}"),
+    }
+    // The capacity itself still verifies (the harness checks stdout and
+    // the exit code against the reference).
+    match submit(&url, &job(MAX_STDIN_WORDS)) {
+        Ok(JobResult::Program { baseline_cycles, dyser_cycles, .. }) => {
+            assert!(baseline_cycles > 0 && dyser_cycles > 0);
+        }
+        other => panic!("p1 at n={MAX_STDIN_WORDS} failed: {other:?}"),
     }
 }

@@ -39,6 +39,10 @@ const SCRATCH_END: i16 = 0xE20;
 /// Read-buffer capacity passed to the `read` syscall.
 const READ_CAP: u64 = 65_536;
 
+/// The largest `n` (8-byte words of stdin) a program accepts: each reads
+/// stdin with one `read` of at most `READ_CAP` bytes.
+pub const MAX_STDIN_WORDS: usize = READ_CAP as usize / 8;
+
 /// Emits `rd = value` as `mov` plus shift/or chunks (any 64-bit value).
 fn set64(asm: &mut Assembler, rd: Reg, value: u64) {
     if value < 0x1000 {
@@ -138,9 +142,10 @@ fn p1_input(n: usize, key: u64, seed: u64) -> (Vec<u8>, u64) {
 /// (`ICmpEq` lanes plus an `IAdd` tree); the key streams in through a
 /// fifth port — it is only known at run time, from argv. Needs 5 input
 /// ports and 1 output port; returns `None` on smaller geometries.
-/// `n` must be a positive multiple of 4.
+/// `n` must be a positive multiple of 4, at most [`MAX_STDIN_WORDS`].
 pub fn p1(geometry: FabricGeometry, n: usize, seed: u64) -> Option<ProgramCase> {
     assert!(n.is_multiple_of(4) && n > 0, "p1 handles positive multiples of 4");
+    assert!(n <= MAX_STDIN_WORDS, "p1 reads at most {MAX_STDIN_WORDS} words of stdin");
     if geometry.input_ports() < 5 || geometry.output_ports() < 1 {
         return None;
     }
@@ -272,9 +277,11 @@ fn p2_reference(stdin: &[u8]) -> (u64, u64) {
 ///
 /// The accelerated leg hashes four words per fabric invocation (`IMul`
 /// by a baked constant plus an `IAdd` tree). Needs 4 input ports and 1
-/// output port. `n` must be a positive multiple of 4.
+/// output port. `n` must be a positive multiple of 4, at most
+/// [`MAX_STDIN_WORDS`].
 pub fn p2(geometry: FabricGeometry, n: usize, seed: u64) -> Option<ProgramCase> {
     assert!(n.is_multiple_of(4) && n > 0, "p2 handles positive multiples of 4");
+    assert!(n <= MAX_STDIN_WORDS, "p2 reads at most {MAX_STDIN_WORDS} words of stdin");
     if geometry.input_ports() < 4 || geometry.output_ports() < 1 {
         return None;
     }
@@ -431,9 +438,11 @@ fn p3_reference(stdin: &[u8]) -> u64 {
 /// `checksum & 63`.
 ///
 /// The accelerated leg computes one stencil tap per fabric invocation
-/// (shift-add tree). Needs 3 input ports and 1 output port. `n >= 3`.
+/// (shift-add tree). Needs 3 input ports and 1 output port.
+/// `3 <= n <=` [`MAX_STDIN_WORDS`].
 pub fn p3(geometry: FabricGeometry, n: usize, seed: u64) -> Option<ProgramCase> {
     assert!(n >= 3, "p3 needs at least one interior element");
+    assert!(n <= MAX_STDIN_WORDS, "p3 reads at most {MAX_STDIN_WORDS} words of stdin");
     if geometry.input_ports() < 3 || geometry.output_ports() < 1 {
         return None;
     }
@@ -618,6 +627,14 @@ mod tests {
             let run = run_whole_program("dyser", &case.accelerated, &case, &rc)
                 .unwrap_or_else(|e| panic!("{}: {e}", case.name));
             assert!(run.stats.fabric.fu_fires() > 0, "{}: fabric idle", case.name);
+        }
+    }
+
+    #[test]
+    fn stdin_capacity_is_enforced() {
+        for build in [p1, p2, p3] {
+            let over = std::panic::catch_unwind(|| build(geometry(), MAX_STDIN_WORDS + 4, 0));
+            assert!(over.is_err(), "n above the stdin capacity must be rejected");
         }
     }
 

@@ -222,8 +222,8 @@ impl DsePoint {
         if self.fifo_depth == 0 {
             return Err(FabricConfigError::ZeroFifoDepth);
         }
-        let mut rc = RunConfig::default();
-        rc.compiler = kernel.compiler_options(geometry);
+        let mut rc =
+            RunConfig { compiler: kernel.compiler_options(geometry), ..RunConfig::default() };
         rc.set_geometry(geometry);
         if self.mix == FuMix::Universal {
             rc.set_universal_fus();
@@ -374,7 +374,7 @@ impl DsePlan {
                 return Err(DseError::Config(FabricConfigError::ZeroFifoDepth));
             }
         }
-        if self.unrolls.iter().any(|&u| u == 0) {
+        if self.unrolls.contains(&0) {
             return Err(DseError::Run("unroll factor 0 is not a compiler mode".into()));
         }
         Ok(())

@@ -12,7 +12,7 @@
 //!   estimated critical path (a light-weight stand-in for the original
 //!   scheduler's simulated annealing).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use dyser_fabric::{
     BuildError, ConfigBuilder, FabricConfig, FabricConfigError, FabricGeometry, FuId, FuKind,
@@ -129,16 +129,16 @@ fn fabric_cmp_op(op: CmpOp) -> (FuOp, bool) {
     }
 }
 
-/// Port lists plus op-node handles returned by graph construction.
-type GraphPorts = (Vec<usize>, Vec<usize>, Vec<ValueId>);
+/// Port lists plus each op node's handle and fabric operation, in
+/// compute order, returned by graph construction.
+type GraphPorts = (Vec<usize>, Vec<usize>, Vec<(ValueId, FuOp)>);
 
-/// Builds the dataflow graph into a `ConfigBuilder`; returns the op node
-/// ids so refinement can hint their placement.
+/// Builds the dataflow graph into a `ConfigBuilder`; returns the op nodes
+/// so refinement can hint their placement.
 fn build_graph(
     f: &Function,
     region: &Region,
     builder: &mut ConfigBuilder,
-    hints: &HashMap<usize, FuId>,
 ) -> Result<GraphPorts, ScheduleError> {
     let mut value_map: HashMap<Value, ValueId> = HashMap::new();
 
@@ -150,8 +150,8 @@ fn build_graph(
     }
 
     // Compute nodes in body (topological) order.
-    let mut op_nodes: Vec<ValueId> = Vec::new();
-    for (k, &cv) in region.compute.iter().enumerate() {
+    let mut op_nodes: Vec<(ValueId, FuOp)> = Vec::new();
+    for &cv in &region.compute {
         let arg = |v: Value, builder: &mut ConfigBuilder| -> Result<ValueId, ScheduleError> {
             if let Some(&vid) = value_map.get(&v) {
                 return Ok(vid);
@@ -170,46 +170,45 @@ fn build_graph(
             )))
         };
         let inst = f.as_inst(cv).expect("compute values are instructions").clone();
-        let vid = match inst {
+        let (op, args) = match inst {
             Inst::Bin { op, a, b } => {
                 let (na, nb) = (arg(a, builder)?, arg(b, builder)?);
-                builder.op(fabric_bin_op(op), &[na, nb])
+                (fabric_bin_op(op), vec![na, nb])
             }
             Inst::Un { op, a } => {
                 let na = arg(a, builder)?;
-                match op {
-                    UnOp::Fneg => builder.op(FuOp::FNeg, &[na]),
-                    UnOp::Fabs => builder.op(FuOp::FAbs, &[na]),
-                    UnOp::Fsqrt => builder.op(FuOp::FSqrt, &[na]),
-                    UnOp::Itof => builder.op(FuOp::IToF, &[na]),
-                    UnOp::Ftoi => builder.op(FuOp::FToI, &[na]),
-                    UnOp::Not => builder.op(FuOp::PredNot, &[na]),
-                }
+                let op = match op {
+                    UnOp::Fneg => FuOp::FNeg,
+                    UnOp::Fabs => FuOp::FAbs,
+                    UnOp::Fsqrt => FuOp::FSqrt,
+                    UnOp::Itof => FuOp::IToF,
+                    UnOp::Ftoi => FuOp::FToI,
+                    UnOp::Not => FuOp::PredNot,
+                };
+                (op, vec![na])
             }
             Inst::Cmp { op, a, b } => {
                 let (fu, swap) = fabric_cmp_op(op);
                 let (na, nb) = (arg(a, builder)?, arg(b, builder)?);
                 if swap {
-                    builder.op(fu, &[nb, na])
+                    (fu, vec![nb, na])
                 } else {
-                    builder.op(fu, &[na, nb])
+                    (fu, vec![na, nb])
                 }
             }
             Inst::Select { cond, on_true, on_false } => {
                 let nc = arg(cond, builder)?;
                 let nt = arg(on_true, builder)?;
                 let nf = arg(on_false, builder)?;
-                builder.op(FuOp::Select, &[nt, nf, nc])
+                (FuOp::Select, vec![nt, nf, nc])
             }
             other => {
                 return Err(ScheduleError::Unsupported(format!("{other:?}")));
             }
         };
-        if let Some(&fu) = hints.get(&k) {
-            builder.hint(vid, fu);
-        }
+        let vid = builder.op(op, &args);
         value_map.insert(cv, vid);
-        op_nodes.push(vid);
+        op_nodes.push((vid, op));
     }
 
     // Outputs occupy ports 0..m in region order.
@@ -276,35 +275,46 @@ pub fn schedule_region(
         });
     }
 
-    let build_with = |hints: &HashMap<usize, FuId>| -> Result<
-        (FabricConfig, Vec<usize>, Vec<usize>),
-        ScheduleError,
-    > {
-        let mut builder = ConfigBuilder::with_kinds(geometry, kinds.to_vec())
-            .map_err(ScheduleError::BadHardware)?;
-        builder.set_name(region.name.clone());
-        let (ins, outs, _) = build_graph(f, region, &mut builder, hints)?;
-        let config = builder.build().map_err(ScheduleError::Unmappable)?;
-        Ok((config, ins, outs))
-    };
+    let mut builder =
+        ConfigBuilder::with_kinds(geometry, kinds.to_vec()).map_err(ScheduleError::BadHardware)?;
+    builder.set_name(region.name.clone());
+    let (input_ports, output_ports, op_nodes) = build_graph(f, region, &mut builder)?;
 
     // Greedy first.
-    let mut best = build_with(&HashMap::new());
-    let mut best_cost = best.as_ref().ok().map(|(c, _, _)| config_cost(c));
+    let mut best = builder.build();
+    let mut best_cost = best.as_ref().ok().map(config_cost);
 
     // Random-restart refinement: hint a random subset of ops to random
-    // compatible sites, keep improvements.
+    // compatible sites, keep strict improvements. Building is
+    // deterministic, so a round whose result is already known is skipped
+    // (its random draws are still made): when the ops cannot all sit on
+    // distinct compatible sites every build fails, and a hint set that
+    // was already built cannot improve on `best`.
+    let ops: Vec<FuOp> = op_nodes.iter().map(|&(_, op)| op).collect();
+    let feasible = best.is_ok() || sites_suffice(&ops, kinds);
     let mut rng = Rng64::seed_from_u64(options.seed);
     let sites: Vec<FuId> = geometry.fus().collect();
+    let mut built: HashSet<Vec<(usize, FuId)>> = HashSet::from([Vec::new()]);
     for _ in 0..options.refinement_rounds {
-        let mut hints = HashMap::new();
-        for k in 0..region.compute.len() {
+        let mut hints = Vec::new();
+        for (k, &op) in ops.iter().enumerate() {
             if rng.gen_bool(0.5) {
-                hints.insert(k, sites[rng.gen_range(0..sites.len())]);
+                let site = sites[rng.gen_range(0..sites.len())];
+                // The placer ignores a hint to a site that cannot run the op.
+                if kinds[geometry.fu_index(site)].supports(op) {
+                    hints.push((k, site));
+                }
             }
         }
-        if let Ok(candidate) = build_with(&hints) {
-            let cost = config_cost(&candidate.0);
+        if !feasible || !built.insert(hints.clone()) {
+            continue;
+        }
+        builder.clear_hints();
+        for &(k, site) in &hints {
+            builder.hint(op_nodes[k].0, site);
+        }
+        if let Ok(candidate) = builder.build() {
+            let cost = config_cost(&candidate);
             if best_cost.is_none_or(|b| cost < b) {
                 best_cost = Some(cost);
                 best = Ok(candidate);
@@ -312,13 +322,41 @@ pub fn schedule_region(
         }
     }
 
-    let (config, input_ports, output_ports) = best?;
     Ok(Schedule {
-        config,
+        config: best.map_err(ScheduleError::Unmappable)?,
         input_ports,
         output_ports,
         depth_estimate: estimate_depth(f, region),
     })
+}
+
+/// Whether every op can sit on a site of its own whose kind runs it: a
+/// maximum bipartite matching of ops to sites by augmenting paths.
+fn sites_suffice(ops: &[FuOp], kinds: &[FuKind]) -> bool {
+    fn augment(
+        op: usize,
+        ops: &[FuOp],
+        kinds: &[FuKind],
+        owner: &mut [Option<usize>],
+        seen: &mut [bool],
+    ) -> bool {
+        for site in 0..kinds.len() {
+            if seen[site] || !kinds[site].supports(ops[op]) {
+                continue;
+            }
+            seen[site] = true;
+            if owner[site].is_none_or(|other| augment(other, ops, kinds, owner, seen)) {
+                owner[site] = Some(op);
+                return true;
+            }
+        }
+        false
+    }
+    if ops.len() > kinds.len() {
+        return false;
+    }
+    let mut owner = vec![None; kinds.len()];
+    (0..ops.len()).all(|op| augment(op, ops, kinds, &mut owner, &mut vec![false; kinds.len()]))
 }
 
 /// Cost of a configuration: total routed registers (wire length proxy).
@@ -410,6 +448,17 @@ mod tests {
         let err = schedule_region(&f, &r, geom, &[FuKind::Universal], &Default::default())
             .unwrap_err();
         assert!(matches!(err, ScheduleError::Unmappable(_)), "got {err}");
+    }
+
+    #[test]
+    fn site_matching_respects_kinds() {
+        use FuKind::{IntSimple, Universal};
+        // The adder must give up the only multiply-capable site.
+        assert!(sites_suffice(&[FuOp::IAdd, FuOp::FMul], &[Universal, IntSimple]));
+        // Sites enough in number, but only one can multiply.
+        let kinds = [Universal, IntSimple, IntSimple, IntSimple];
+        assert!(!sites_suffice(&[FuOp::FMul, FuOp::FMul, FuOp::IAdd], &kinds));
+        assert!(!sites_suffice(&[FuOp::IAdd; 3], &[Universal; 2]));
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! refinement, annealing) lives in the compiler's spatial scheduler, which
 //! drives the builder with placement hints.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 use crate::config::topo;
@@ -214,6 +214,13 @@ impl ConfigBuilder {
         self
     }
 
+    /// Drops every placement hint given so far, so that one graph can be
+    /// built again under different hints.
+    pub fn clear_hints(&mut self) -> &mut Self {
+        self.hints.clear();
+        self
+    }
+
     /// Maps vector input port `vp` to scalar input ports.
     pub fn vec_in(&mut self, vp: usize, ports: Vec<usize>) -> &mut Self {
         self.vec_in.push((vp, ports));
@@ -246,21 +253,129 @@ impl ConfigBuilder {
 /// arrived on input line `line`.
 type RouteState = (SwitchId, InDir);
 
-/// Snapshot of the mutable routing state (config, register owners,
-/// per-signal reached states), used for candidate rollback.
-type Checkpoint =
-    (FabricConfig, HashMap<(SwitchId, OutDir), usize>, HashMap<usize, HashSet<RouteState>>);
+/// The mesh directions a route can hop in, in breadth-first expansion order.
+const MESH: [OutDir; 4] = [OutDir::North, OutDir::South, OutDir::East, OutDir::West];
+
+/// One change to the placer's routing state, recorded so that a failed
+/// placement attempt can be undone.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Undo {
+    /// Route register `(switch, output)` was claimed.
+    Claim(SwitchId, OutDir),
+    /// A state was appended to this signal's reached states.
+    Reached(usize),
+}
+
+/// The graph edge a route serves; only rendered when routing fails.
+#[derive(Clone, Copy)]
+enum Edge {
+    Operand { value: usize, fu: FuId, slot: usize },
+    Output { value: usize, port: usize },
+}
+
+impl fmt::Display for Edge {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Edge::Operand { value, fu, slot } => write!(f, "value {value} -> {fu} operand {slot}"),
+            Edge::Output { value, port } => write!(f, "value {value} -> output port {port}"),
+        }
+    }
+}
+
+/// Breadth-first search scratch over every `(switch, arrival line)`
+/// state, kept dense (`switch_index * InDir::COUNT + line`) and reused
+/// by every search of one build: a state is visited in the current
+/// search iff its stamp equals `epoch`.
+struct Bfs {
+    epoch: u32,
+    stamp: Vec<u32>,
+    /// How each visited state was reached: the previous state and the
+    /// hop taken, or `None` for a seed.
+    parent: Vec<Option<(RouteState, OutDir)>>,
+    queue: Vec<RouteState>,
+    seeds: Vec<RouteState>,
+}
+
+impl Bfs {
+    fn new(geom: FabricGeometry) -> Self {
+        let states = geom.switch_count() * InDir::COUNT;
+        Bfs {
+            epoch: 0,
+            stamp: vec![0; states],
+            parent: vec![None; states],
+            queue: Vec::new(),
+            seeds: Vec::new(),
+        }
+    }
+
+    fn slot(geom: &FabricGeometry, (sw, line): RouteState) -> usize {
+        geom.switch_index(sw) * InDir::COUNT + line.index()
+    }
+
+    fn visit(
+        &mut self,
+        geom: &FabricGeometry,
+        state: RouteState,
+        from: Option<(RouteState, OutDir)>,
+    ) {
+        let i = Self::slot(geom, state);
+        if self.stamp[i] != self.epoch {
+            self.stamp[i] = self.epoch;
+            self.parent[i] = from;
+            self.queue.push(state);
+        }
+    }
+
+    /// Searches from `self.seeds`, in order, over free route registers for
+    /// the first state standing at `goal_sw`.
+    fn search(
+        &mut self,
+        geom: &FabricGeometry,
+        cfg: &FabricConfig,
+        goal_sw: SwitchId,
+    ) -> Option<RouteState> {
+        self.epoch += 1;
+        self.queue.clear();
+        for i in 0..self.seeds.len() {
+            self.visit(geom, self.seeds[i], None);
+        }
+        let mut head = 0;
+        while let Some(&state) = self.queue.get(head) {
+            head += 1;
+            let (sw, _line) = state;
+            if sw == goal_sw {
+                return Some(state);
+            }
+            for d in MESH {
+                let Some(next_sw) = topo::neighbor(geom, sw, d) else { continue };
+                if cfg.switch(sw).source(d).is_some() {
+                    continue;
+                }
+                self.visit(geom, (next_sw, topo::mirror(d)), Some((state, d)));
+            }
+        }
+        None
+    }
+
+    /// How `state` was reached in the last search.
+    fn parent(&self, geom: &FabricGeometry, state: RouteState) -> Option<(RouteState, OutDir)> {
+        self.parent[Self::slot(geom, state)]
+    }
+}
 
 struct Placer<'a> {
     b: &'a ConfigBuilder,
     cfg: FabricConfig,
-    /// Which signal (producer node index) occupies each route register.
-    reg_owner: HashMap<(SwitchId, OutDir), usize>,
-    /// States already reached by each signal's committed routes.
-    signal_states: HashMap<usize, HashSet<RouteState>>,
-    /// Placement of op nodes.
-    node_fu: HashMap<usize, FuId>,
-    fu_used: HashSet<FuId>,
+    /// States already reached by each signal's committed routes, indexed
+    /// by producer node.
+    signal_states: Vec<Vec<RouteState>>,
+    /// Placement of op nodes, indexed by node.
+    node_fu: Vec<Option<FuId>>,
+    /// Occupied FU sites, indexed by `fu_index`.
+    fu_used: Vec<bool>,
+    /// Changes made since the current placement attempt began.
+    undo: Vec<Undo>,
+    bfs: Bfs,
 }
 
 impl<'a> Placer<'a> {
@@ -301,32 +416,31 @@ impl<'a> Placer<'a> {
                 c.set_name(b.name.clone());
                 c
             },
-            reg_owner: HashMap::new(),
-            signal_states: HashMap::new(),
-            node_fu: HashMap::new(),
-            fu_used: HashSet::new(),
+            signal_states: vec![Vec::new(); b.nodes.len()],
+            node_fu: vec![None; b.nodes.len()],
+            fu_used: vec![false; b.geom.fu_count()],
+            undo: Vec::new(),
+            bfs: Bfs::new(b.geom),
         })
     }
 
     fn run(mut self) -> Result<FabricConfig, BuildError> {
-        for idx in 0..self.b.nodes.len() {
-            if let Node::Op { op, args } = &self.b.nodes[idx] {
-                self.place_op(idx, *op, &args.clone())?;
+        let b = self.b;
+        for (idx, node) in b.nodes.iter().enumerate() {
+            if let Node::Op { op, args } = node {
+                self.place_op(idx, *op, args)?;
             }
         }
-        for (value, port) in &self.b.outputs {
-            let goal_sw = self
-                .b
-                .geom
-                .output_port_switch(*port)
-                .expect("output port validated in Placer::new");
-            let label = format!("value {} -> output port {port}", value.0);
-            self.route_signal(value.0, goal_sw, OutDir::ExtOut, &label)?;
+        for &(value, port) in &b.outputs {
+            let goal_sw =
+                b.geom.output_port_switch(port).expect("output port validated in Placer::new");
+            let edge = Edge::Output { value: value.0, port };
+            self.route_signal(value.0, goal_sw, OutDir::ExtOut, edge)?;
         }
-        for (vp, ports) in &self.b.vec_in {
+        for (vp, ports) in &b.vec_in {
             self.cfg.set_vec_in(*vp, ports.clone());
         }
-        for (vp, ports) in &self.b.vec_out {
+        for (vp, ports) in &b.vec_out {
             self.cfg.set_vec_out(*vp, ports.clone());
         }
         self.cfg.validate()?;
@@ -342,11 +456,17 @@ impl<'a> Placer<'a> {
             }
             Node::Const(_) => None,
             Node::Op { .. } => {
-                let fu = self.node_fu.get(&node)?;
-                let sw = topo::fu_output_switch(*fu);
+                let fu = self.node_fu[node]?;
+                let sw = topo::fu_output_switch(fu);
                 Some((sw.row as isize, sw.col as isize))
             }
         }
+    }
+
+    /// Whether `fu` is free and can execute `op`.
+    fn site_fits(&self, fu: FuId, op: FuOp) -> bool {
+        let i = self.b.geom.fu_index(fu);
+        !self.fu_used[i] && self.b.kinds[i].supports(op)
     }
 
     fn place_op(&mut self, node: usize, op: FuOp, args: &[ValueId]) -> Result<(), BuildError> {
@@ -360,15 +480,7 @@ impl<'a> Placer<'a> {
         }
         let arg_positions: Vec<(isize, isize)> =
             args.iter().filter_map(|a| self.node_pos(a.0)).collect();
-        let mut free: Vec<FuId> = self
-            .b
-            .geom
-            .fus()
-            .filter(|fu| {
-                !self.fu_used.contains(fu)
-                    && self.b.kinds[self.b.geom.fu_index(*fu)].supports(op)
-            })
-            .collect();
+        let mut free: Vec<FuId> = self.b.geom.fus().filter(|fu| self.site_fits(*fu, op)).collect();
         free.sort_by_key(|fu| {
             let (r, c) = (fu.row as isize, fu.col as isize);
             let dist: isize =
@@ -383,9 +495,7 @@ impl<'a> Placer<'a> {
         let orderings = Self::operand_orderings(op, args);
         let mut last_err = BuildError::Unplaceable { op };
         for fu in candidates {
-            if self.fu_used.contains(&fu)
-                || !self.b.kinds[self.b.geom.fu_index(fu)].supports(op)
-            {
+            if !self.site_fits(fu, op) {
                 continue;
             }
             for ordering in &orderings {
@@ -427,6 +537,8 @@ impl<'a> Placer<'a> {
         orders
     }
 
+    /// Places `node` on `fu`, routing each operand; on failure every
+    /// route claimed by the attempt is undone.
     fn try_place_at(
         &mut self,
         node: usize,
@@ -434,51 +546,54 @@ impl<'a> Placer<'a> {
         args: &[ValueId],
         fu: FuId,
     ) -> Result<(), BuildError> {
-        let checkpoint = self.checkpoint();
+        let mark = self.undo.len();
         let mut operands = [OperandSrc::None; 3];
         for (slot, arg) in args.iter().enumerate() {
             match &self.b.nodes[arg.0] {
                 Node::Const(c) => operands[slot] = OperandSrc::Const(*c),
                 _ => {
                     let (goal_sw, goal_dir) = topo::fu_operand_switch(fu, slot);
-                    let label = format!("value {} -> {fu} operand {slot}", arg.0);
-                    if let Err(e) = self.route_signal(arg.0, goal_sw, goal_dir, &label) {
-                        self.rollback(checkpoint);
+                    let edge = Edge::Operand { value: arg.0, fu, slot };
+                    if let Err(e) = self.route_signal(arg.0, goal_sw, goal_dir, edge) {
+                        self.rollback(mark);
                         return Err(e);
                     }
                     operands[slot] = OperandSrc::Switch;
                 }
             }
         }
+        // The placement is committed: its changes are never undone.
+        self.undo.truncate(mark);
         self.cfg.set_fu(fu, FuConfig { op, operands });
-        self.fu_used.insert(fu);
-        self.node_fu.insert(node, fu);
+        self.fu_used[self.b.geom.fu_index(fu)] = true;
+        self.node_fu[node] = Some(fu);
         Ok(())
     }
 
-    /// Snapshot of the mutable routing state, for candidate rollback.
-    fn checkpoint(&self) -> Checkpoint {
-        (self.cfg.clone(), self.reg_owner.clone(), self.signal_states.clone())
+    /// Undoes every change recorded after `mark`, newest first.
+    fn rollback(&mut self, mark: usize) {
+        for entry in self.undo.drain(mark..).rev() {
+            match entry {
+                Undo::Claim(sw, d) => self.cfg.switch_mut(sw).clear_source(d),
+                Undo::Reached(signal) => {
+                    self.signal_states[signal].pop();
+                }
+            }
+        }
     }
 
-    fn rollback(&mut self, cp: Checkpoint) {
-        self.cfg = cp.0;
-        self.reg_owner = cp.1;
-        self.signal_states = cp.2;
-    }
-
-    /// Initial route states of a signal that has no committed routes yet.
-    fn seed_states(&self, signal: usize) -> Result<Vec<RouteState>, BuildError> {
+    /// Initial route state of a signal that has no committed routes yet.
+    fn seed_state(&self, signal: usize) -> Result<RouteState, BuildError> {
         match &self.b.nodes[signal] {
             Node::Input { port } => {
                 let sw = self.b.geom.input_port_switch(*port).expect("validated port");
-                Ok(vec![(sw, InDir::ExtIn)])
+                Ok((sw, InDir::ExtIn))
             }
             Node::Op { .. } => {
-                let fu = self.node_fu.get(&signal).ok_or_else(|| BuildError::Unroutable {
+                let fu = self.node_fu[signal].ok_or_else(|| BuildError::Unroutable {
                     edge: format!("value {signal} used before placement"),
                 })?;
-                Ok(vec![(topo::fu_output_switch(*fu), InDir::FuOut)])
+                Ok((topo::fu_output_switch(fu), InDir::FuOut))
             }
             Node::Const(_) => Err(BuildError::Unroutable {
                 edge: format!("constant value {signal} cannot be routed"),
@@ -496,71 +611,55 @@ impl<'a> Placer<'a> {
         signal: usize,
         goal_sw: SwitchId,
         goal_dir: OutDir,
-        label: &str,
+        edge: Edge,
     ) -> Result<(), BuildError> {
-        if self.reg_owner.contains_key(&(goal_sw, goal_dir)) {
-            return Err(BuildError::Unroutable { edge: format!("{label}: goal register busy") });
+        if self.cfg.switch(goal_sw).source(goal_dir).is_some() {
+            return Err(BuildError::Unroutable { edge: format!("{edge}: goal register busy") });
         }
-        let mut seeds: Vec<RouteState> = match self.signal_states.get(&signal) {
-            Some(states) if !states.is_empty() => states.iter().copied().collect(),
-            _ => self.seed_states(signal)?,
-        };
-        // HashSet iteration order varies between instances; the BFS breaks
-        // shortest-path ties by seed order, so sort to keep routing (and
-        // therefore every downstream cycle count) fully deterministic.
-        seeds.sort_unstable();
-
-        let mut parent: HashMap<RouteState, Option<(RouteState, OutDir)>> = HashMap::new();
-        let mut queue: VecDeque<RouteState> = VecDeque::new();
-        for s in &seeds {
-            parent.insert(*s, None);
-            queue.push_back(*s);
+        self.bfs.seeds.clear();
+        if self.signal_states[signal].is_empty() {
+            let seed = self.seed_state(signal)?;
+            self.bfs.seeds.push(seed);
+        } else {
+            self.bfs.seeds.extend_from_slice(&self.signal_states[signal]);
         }
+        // The BFS breaks shortest-path ties by seed order; sorting keeps
+        // routing (and every downstream cycle count) independent of the
+        // order in which states were reached.
+        self.bfs.seeds.sort_unstable();
 
-        let mut goal_state: Option<RouteState> = None;
-        while let Some(state) = queue.pop_front() {
-            let (sw, _line) = state;
-            if sw == goal_sw {
-                goal_state = Some(state);
-                break;
-            }
-            for d in [OutDir::North, OutDir::South, OutDir::East, OutDir::West] {
-                let Some(next_sw) = topo::neighbor(&self.b.geom, sw, d) else { continue };
-                if self.reg_owner.contains_key(&(sw, d)) {
-                    continue;
-                }
-                let next: RouteState = (next_sw, topo::mirror(d));
-                if parent.contains_key(&next) {
-                    continue;
-                }
-                parent.insert(next, Some((state, d)));
-                queue.push_back(next);
-            }
-        }
-
-        let Some(goal_state) = goal_state else {
-            return Err(BuildError::Unroutable { edge: label.to_owned() });
+        let geom = self.b.geom;
+        let Some(goal_state) = self.bfs.search(&geom, &self.cfg, goal_sw) else {
+            return Err(BuildError::Unroutable { edge: edge.to_string() });
         };
 
         // Claim the final register, then walk parents claiming hop registers.
         let (_, arrival_line) = goal_state;
-        self.claim(signal, goal_sw, goal_dir, arrival_line);
+        self.claim(goal_sw, goal_dir, arrival_line);
         let mut cursor = goal_state;
-        while let Some(&Some((prev, taken))) = parent.get(&cursor) {
+        while let Some((prev, taken)) = self.bfs.parent(&geom, cursor) {
             let (prev_sw, prev_line) = prev;
-            self.claim(signal, prev_sw, taken, prev_line);
-            self.signal_states.entry(signal).or_default().insert(cursor);
+            self.claim(prev_sw, taken, prev_line);
+            self.reach(signal, cursor);
             cursor = prev;
         }
         // Record the seed state as reached too (it may have come from
-        // seed_states rather than an existing committed route).
-        self.signal_states.entry(signal).or_default().insert(cursor);
+        // seed_state rather than an existing committed route).
+        self.reach(signal, cursor);
         Ok(())
     }
 
-    fn claim(&mut self, signal: usize, sw: SwitchId, d: OutDir, source: InDir) {
+    fn claim(&mut self, sw: SwitchId, d: OutDir, source: InDir) {
         self.cfg.switch_mut(sw).set_source(d, source);
-        self.reg_owner.insert((sw, d), signal);
+        self.undo.push(Undo::Claim(sw, d));
+    }
+
+    fn reach(&mut self, signal: usize, state: RouteState) {
+        let states = &mut self.signal_states[signal];
+        if !states.contains(&state) {
+            states.push(state);
+            self.undo.push(Undo::Reached(signal));
+        }
     }
 }
 
@@ -753,6 +852,53 @@ mod tests {
         let cfg = b.build().unwrap();
         assert_eq!(cfg.vec_in(0), &[0, 1]);
         assert_eq!(cfg.vec_out(0), &[0]);
+    }
+
+    #[test]
+    fn failed_placement_attempt_restores_routing_state() {
+        let mut b = ConfigBuilder::new(geom());
+        let x = b.input_value(0);
+        let y = b.input_value(1);
+        let s = b.op(FuOp::IAdd, &[x, y]);
+        b.output_value(s, 0);
+        let mut p = Placer::new(&b).unwrap();
+        let fu = FuId { row: 1, col: 1 };
+        // Occupy operand 1's register so that operand 0 routes and
+        // operand 1 then fails.
+        let (sw1, d1) = topo::fu_operand_switch(fu, 1);
+        p.cfg.switch_mut(sw1).set_source(d1, InDir::North);
+        let (cfg, states, undo) = (p.cfg.clone(), p.signal_states.clone(), p.undo.clone());
+
+        let err = p.try_place_at(s.0, FuOp::IAdd, &[x, y], fu).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "no route for edge value 1 -> fu(1,1) operand 1: goal register busy"
+        );
+        assert_eq!(p.cfg, cfg);
+        assert_eq!(p.signal_states, states);
+        assert_eq!(p.undo, undo);
+        assert_eq!(p.node_fu[s.0], None);
+
+        // Without the obstruction the same attempt routes both operands.
+        p.cfg.switch_mut(sw1).clear_source(d1);
+        p.try_place_at(s.0, FuOp::IAdd, &[x, y], fu).unwrap();
+        assert!(p.cfg.switch(sw1).source(d1).is_some());
+        assert!(p.undo.is_empty(), "a committed placement leaves nothing to undo");
+    }
+
+    #[test]
+    fn unroutable_edge_names_the_value_and_its_goal() {
+        let mut b = ConfigBuilder::new(geom());
+        let x = b.input_value(0);
+        b.output_value(x, 0);
+        let mut p = Placer::new(&b).unwrap();
+        // Input port 0 enters at sw(0,0); block its two mesh outputs.
+        let entry = SwitchId { row: 0, col: 0 };
+        p.cfg.switch_mut(entry).set_source(OutDir::South, InDir::ExtIn);
+        p.cfg.switch_mut(entry).set_source(OutDir::East, InDir::ExtIn);
+        let err = p.run().unwrap_err();
+        assert_eq!(err, BuildError::Unroutable { edge: "value 0 -> output port 0".to_owned() });
+        assert_eq!(err.to_string(), "no route for edge value 0 -> output port 0");
     }
 
     #[test]
